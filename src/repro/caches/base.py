@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.caches.interface import (
     AccessResult,
+    CODE_BITS,
     CODE_OF_SERVED,
     FetchResponse,
     LineSource,
@@ -34,7 +35,7 @@ from repro.utils.bitmask import as_mask, as_words
 from repro.utils.bitops import MASK32
 from repro.utils.intmath import is_pow2, log2i
 
-__all__ = ["Cache"]
+__all__ = ["Cache", "CacheFacade"]
 
 
 class Cache:
@@ -230,7 +231,7 @@ class Cache:
     # ---- word-ops (fast backend) --------------------------------------------------
 
     def load_word(self, addr: int, now: int = 0) -> int:
-        """Word load returning ``latency << 3 | code`` (see interface).
+        """Word load returning ``latency << CODE_BITS | code`` (see interface).
 
         The MRU-hit path returns code 0 *without* touching stats — the
         caller tallies those hits and flushes ``accesses``/``hits`` in
@@ -241,9 +242,9 @@ class Cache:
         line_no = addr >> self.line_shift
         line = self._sets[line_no & self.set_mask][0]
         if line.line_no == line_no and line.valid:
-            return self.hit_latency << 3
+            return self.hit_latency << CODE_BITS
         result = self.access(addr, False, None, now)
-        return (result.latency << 3) | CODE_OF_SERVED[result.served_by]
+        return (result.latency << CODE_BITS) | CODE_OF_SERVED[result.served_by]
 
     def store_word(self, addr: int, value: int, now: int = 0) -> bool:
         """Word store; True = uncounted MRU hit (caller batches stats)."""
@@ -376,3 +377,67 @@ class Cache:
                             self.full_mask,
                         )
                 line.invalidate()
+
+
+class CacheFacade:
+    """Shared base of the side-buffer wrappers (BCP, BSP, BVC).
+
+    Each wraps a conventional cache and puts a buffer beside it: a
+    next-line or stride prefetch buffer, or a victim buffer. The wrapped
+    :attr:`cache` owns the geometry, the lines and the counters; a
+    subclass adds the buffer lookups to ``access()`` (the L1 role) and
+    ``fetch()`` (the L2 role). Every such ``access()`` goes straight to
+    the cache when the cache holds the line, so a hit in the cache's MRU
+    way needs no buffer work at all: that is what lets the facades meet
+    the same word-op contract as :class:`Cache`.
+    """
+
+    def __init__(self, cache: Cache) -> None:
+        self.cache = cache
+        self.stats = cache.stats  # shared counters; buffer events land here
+
+    @property
+    def name(self) -> str:
+        return self.cache.name
+
+    @property
+    def line_words(self) -> int:
+        return self.cache.line_words
+
+    @property
+    def hit_latency(self) -> int:
+        return self.cache.hit_latency
+
+    # ---- word-ops (fast backend) --------------------------------------------------
+
+    def load_word(self, addr: int, now: int = 0) -> int:
+        """Word load returning ``latency << CODE_BITS | code``.
+
+        A hit in the wrapped cache's MRU way is code 0 and leaves the
+        stats untouched (the caller batches them, as for
+        :meth:`Cache.load_word`); anything else — buffer hits, victim
+        recovery, prefetch issue, misses — goes through :meth:`access`.
+        """
+        cache = self.cache
+        line_no = addr >> cache.line_shift
+        line = cache._sets[line_no & cache.set_mask][0]
+        if line.line_no == line_no and line.valid:
+            return cache.hit_latency << CODE_BITS
+        result = self.access(addr, False, None, now)
+        return (result.latency << CODE_BITS) | CODE_OF_SERVED[result.served_by]
+
+    def store_word(self, addr: int, value: int, now: int = 0) -> bool:
+        """Word store; True = uncounted MRU hit (caller batches stats)."""
+        cache = self.cache
+        line_no = addr >> cache.line_shift
+        line = cache._sets[line_no & cache.set_mask][0]
+        if line.line_no == line_no and line.valid:
+            line.data[(addr >> 2) & (cache.line_words - 1)] = value & MASK32
+            line.dirty = True
+            return True
+        self.access(addr, True, value, now)
+        return False
+
+    def flush(self) -> None:
+        """Write back the wrapped cache's dirty lines."""
+        self.cache.flush()

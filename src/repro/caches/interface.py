@@ -41,6 +41,7 @@ from repro.utils.bitmask import as_mask, as_words
 
 __all__ = [
     "AccessResult",
+    "CODE_BITS",
     "CODE_OF_SERVED",
     "FetchResponse",
     "LineSource",
@@ -48,12 +49,17 @@ __all__ = [
     "SERVED_BY_CODES",
 ]
 
-#: Packed word-op result codes -> ``served_by`` labels. The fast
+#: Width of the code field of a packed word-op result. The fast
 #: backend's L1 word-ops (``load_word``/``store_word``) return
-#: ``latency << 3 | code`` instead of allocating an
-#: :class:`AccessResult`; code 0 is the *uncounted* inline MRU hit (the
-#: caller batches the stats), the remaining codes come from the regular
-#: ``access()`` path and are already counted.
+#: ``latency << CODE_BITS | code`` instead of allocating an
+#: :class:`AccessResult`.
+CODE_BITS = 4
+
+#: Packed word-op result codes -> ``served_by`` labels. Code 0 is the
+#: *uncounted* inline MRU hit (the caller batches the stats); the
+#: remaining codes come from the regular ``access()`` path and are
+#: already counted. Every label an L1 ``access()`` can report has a
+#: code, so every L1 can take word-ops.
 SERVED_BY_CODES = (
     "l1",
     "l1",
@@ -63,9 +69,13 @@ SERVED_BY_CODES = (
     "l2-affiliated",
     "l2-buffer",
     "memory",
+    "l1-buffer-late",
+    "l2-buffer-late",
+    "l1-victim",
+    "l2-victim",
 )
 
-#: ``served_by`` label -> packed word-op code (codes 1..7).
+#: ``served_by`` label -> packed word-op code (codes 1 and up).
 CODE_OF_SERVED = {name: i for i, name in enumerate(SERVED_BY_CODES) if i}
 
 
@@ -73,9 +83,11 @@ class AccessResult:
     """Outcome of one CPU-level data access.
 
     ``served_by`` identifies where the word was found:
-    ``"l1" | "l1-affiliated" | "l1-buffer" | "l2" | "l2-affiliated" |
-    "l2-buffer" | "memory"``. ``value`` is the loaded word (loads only);
-    the Machine's verify mode checks it against the trace.
+    ``"l1" | "l1-affiliated" | "l1-buffer" | "l1-buffer-late" |
+    "l1-victim" | "l2" | "l2-affiliated" | "l2-buffer" | "l2-buffer-late" |
+    "l2-victim" | "memory"`` (see :data:`SERVED_BY_CODES`). ``value`` is
+    the loaded word (loads only); the Machine's verify mode checks it
+    against the trace.
 
     A plain ``__slots__`` class: one is created per CPU access, so the
     constructor must stay as close to free as Python allows (a frozen

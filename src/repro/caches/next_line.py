@@ -26,7 +26,7 @@ CPU-facing (:meth:`access`, the L1 position, 8-entry buffer) and
 
 from __future__ import annotations
 
-from repro.caches.base import Cache
+from repro.caches.base import Cache, CacheFacade
 from repro.caches.interface import AccessResult, FetchResponse
 from repro.caches.prefetch_buffer import PrefetchBuffer
 from repro.errors import ConfigurationError
@@ -36,29 +36,16 @@ from repro.obs import tracer as _trace
 __all__ = ["PrefetchingCache"]
 
 
-class PrefetchingCache:
+class PrefetchingCache(CacheFacade):
     """A conventional cache plus a next-line prefetch buffer."""
 
     def __init__(self, cache: Cache, buffer_entries: int) -> None:
         if buffer_entries < 1:
             raise ConfigurationError("prefetch buffer needs at least one entry")
-        self.cache = cache
+        super().__init__(cache)
         self.buffer = PrefetchBuffer(buffer_entries, cache.line_words)
-        self.stats = cache.stats  # shared counters; buffer events land here
 
     # ---- shared helpers -------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.cache.name
-
-    @property
-    def line_words(self) -> int:
-        return self.cache.line_words
-
-    @property
-    def hit_latency(self) -> int:
-        return self.cache.hit_latency
 
     def _issue_prefetch(self, missed_line_no: int, now: int) -> None:
         """Prefetch the next sequential line into the buffer.
@@ -209,5 +196,5 @@ class PrefetchingCache:
 
     def flush(self) -> None:
         """Flush the wrapped cache and drop the (clean) buffer contents."""
-        self.cache.flush()
+        super().flush()
         self.buffer.clear()

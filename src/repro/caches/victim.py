@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.caches.base import Cache
+from repro.caches.base import Cache, CacheFacade
 from repro.caches.interface import AccessResult, FetchResponse, LineSource
 from repro.caches.line import CacheLine
 from repro.caches.stats import CacheStats
@@ -161,24 +161,10 @@ class VictimAwareCache(Cache):
             )
 
 
-class VictimCache:
+class VictimCache(CacheFacade):
     """Hierarchy-facing facade: victim-buffer lookups around the cache."""
 
-    def __init__(self, cache: VictimAwareCache) -> None:
-        self.cache = cache
-        self.stats = cache.stats
-
-    @property
-    def name(self) -> str:
-        return self.cache.name
-
-    @property
-    def hit_latency(self) -> int:
-        return self.cache.hit_latency
-
-    @property
-    def line_words(self) -> int:
-        return self.cache.line_words
+    cache: VictimAwareCache
 
     # ---- CPU-facing role ---------------------------------------------------
 
@@ -232,7 +218,3 @@ class VictimCache:
             self.cache.recover_victim(line_no)
             self.stats.extra["victim_hits"] -= 1  # coherence move, not a hit
         self.cache.write_back(addr, values, mask, comp)
-
-    def flush(self) -> None:
-        """Drain all dirty state (cache lines and buffered victims)."""
-        self.cache.flush()

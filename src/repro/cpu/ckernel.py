@@ -17,13 +17,17 @@ but *not* the cache model, which stays in Python:
   ``mru_pa`` arrays). A load whose word is present in the mirrored MRU
   way is the cache's uncounted inline-hit path — served at
   ``hit_latency`` with zero Python involvement, exactly what
-  ``load_word`` would do.
+  ``load_word`` would do. For a facade L1 (BCP/BSP prefetch buffers,
+  BVC victim buffer) the mirror is the *wrapped* cache's MRU ways: a hit
+  there never consults the buffer, so it is the same inline hit.
 * Everything else crosses back into Python via two ``ctypes`` callbacks
   (one for load misses-of-the-MRU-way, one for every store, which may
   mutate frame metadata). The callback runs the ordinary word-op against
   the real cache and then refreshes the mirror entries for the only sets
   the access can have touched (the addressed set and, for a compression
-  cache, its affiliated set) — so the mirror never claims a false hit.
+  cache, its affiliated set; a facade's buffer install or victim
+  recovery lands in the addressed set) — so the mirror never claims a
+  false hit.
 
 Bit-identicality holds because the C loop is a statement-for-statement
 transcription of the Python fast loop and the Welford recurrences use
@@ -43,16 +47,24 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.caches.base import CacheFacade
 from repro.caches.compression_cache import CompressionCache
+from repro.caches.interface import CODE_BITS
 from repro.errors import TraceError
 
 __all__ = ["kernel_available", "run_compiled"]
 
 # ---- the kernel ---------------------------------------------------------------
 
-_C_SOURCE = r"""
+#: Per-code load tallies the kernel keeps (one per packed word-op code).
+_N_CODES = 1 << CODE_BITS
+
+_C_SOURCE = f"#define CODE_BITS {CODE_BITS}\n" + r"""
 #include <stdint.h>
 #include <stdlib.h>
+
+#define N_CODES (1 << CODE_BITS)
+#define CODE_MASK (N_CODES - 1)
 
 typedef int64_t (*load_cb_t)(uint32_t addr, int64_t now);
 typedef int64_t (*store_cb_t)(uint32_t addr, uint32_t value, int64_t now);
@@ -72,7 +84,7 @@ enum {
     O_ERR, O_NOW, O_COMMITTED, O_STORE_COUNT, O_N_LOADS, O_FWD_LOADS,
     O_N_MISPRED, O_FETCH_STALL, O_MISS_CYCLES, O_ALL_N, O_MISS_N,
     O_UNCOUNTED_STORES, O_ERR_A, O_ERR_B, O_SERVED0
-    /* O_SERVED0 .. O_SERVED0+7: per-code load counts */
+    /* O_SERVED0 .. O_SERVED0+N_CODES-1: per-code load counts */
 };
 
 enum { D_ALL_MEAN, D_ALL_M2, D_MISS_MEAN, D_MISS_M2 };
@@ -160,7 +172,7 @@ int64_t run_core(
     int64_t lsq_used = 0, outstanding = 0;
     int fetch_blocked = 0;
     int64_t pending_resume = -1;
-    int64_t served[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+    int64_t served[N_CODES] = {0};
     int64_t store_count = 0, n_loads = 0, fwd_loads = 0, n_mispred = 0;
     int64_t fetch_stall = 0, miss_cycles = 0, uncounted_stores = 0;
     int64_t all_n = 0, miss_n = 0;
@@ -284,8 +296,8 @@ int64_t run_core(
                             } else {
                                 int64_t packed = load_cb(addr, now);
                                 if (packed < 0) { err = 3; goto done; }
-                                served[packed & 7]++;
-                                lat = packed >> 3;
+                                served[packed & CODE_MASK]++;
+                                lat = packed >> CODE_BITS;
                                 if (lat < 1) lat = 1;
                             }
                         }
@@ -428,7 +440,7 @@ done:
     out_i[O_UNCOUNTED_STORES] = uncounted_stores;
     out_i[O_ERR_A] = err_a;
     out_i[O_ERR_B] = err_b;
-    for (int c = 0; c < 8; c++) out_i[O_SERVED0 + c] = served[c];
+    for (int c = 0; c < N_CODES; c++) out_i[O_SERVED0 + c] = served[c];
     out_d[D_ALL_MEAN] = all_mean;
     out_d[D_ALL_M2] = all_m2;
     out_d[D_MISS_MEAN] = miss_mean;
@@ -446,7 +458,7 @@ _STORE_CB = ctypes.CFUNCTYPE(
 _O_ERR, _O_NOW, _O_COMMITTED, _O_STORE_COUNT, _O_N_LOADS, _O_FWD_LOADS = range(6)
 _O_N_MISPRED, _O_FETCH_STALL, _O_MISS_CYCLES, _O_ALL_N, _O_MISS_N = range(6, 11)
 _O_UNCOUNTED_STORES, _O_ERR_A, _O_ERR_B, _O_SERVED0 = range(11, 15)
-_OUT_I_LEN = _O_SERVED0 + 8
+_OUT_I_LEN = _O_SERVED0 + _N_CODES
 
 # ---- build & cache ------------------------------------------------------------
 
@@ -568,10 +580,12 @@ def run_compiled(
     cols = _c_columns(trace, pre, hot)
     mp_arr, next_mp_arr = _c_bp(pre, cfg.bimod_entries, mispred, next_mp)
 
-    sets = l1._sets
-    set_mask = l1.set_mask
-    line_shift = l1.line_shift
-    widx_mask = l1.line_words - 1
+    # A facade's MRU ways are those of the cache it wraps.
+    cache = l1.cache if isinstance(l1, CacheFacade) else l1
+    sets = cache._sets
+    set_mask = cache.set_mask
+    line_shift = cache.line_shift
+    widx_mask = cache.line_words - 1
     n_sets = set_mask + 1
     mru_line = np.full(n_sets, -1, dtype=np.int64)
     mru_pa = np.zeros(n_sets, dtype=np.uint32)
@@ -582,12 +596,12 @@ def run_compiled(
     load_word = l1.load_word
     store_word = l1.store_word
 
-    if type(l1) is CompressionCache:
-        pair_mask = l1.policy.mask
+    if type(cache) is CompressionCache:
+        pair_mask = cache.policy.mask
         trivial_mode = (
-            2 if (l1._prefix_params is not None and l1._pair_in_slot) else 0
+            2 if (cache._prefix_params is not None and cache._pair_in_slot) else 0
         )
-        prefix = l1._prefix_params or (0, 0, 0)
+        prefix = cache._prefix_params or (0, 0, 0)
 
         def _drain() -> None:
             # Apply journaled trivial stores (MRU primary hits whose
@@ -635,7 +649,7 @@ def run_compiled(
                 return -1
 
     else:
-        full_mask = l1.full_mask
+        full_mask = cache.full_mask
         trivial_mode = 1
         prefix = (0, 0, 0)
 
@@ -650,6 +664,9 @@ def run_compiled(
                 journal_n[0] = 0
 
         def _refresh(ln: int) -> None:
+            # Only the addressed set can change: a miss fills it, and a
+            # facade's buffer install or victim recovery lands there too
+            # (prefetches stay in the buffer, evictions go below).
             s = ln & set_mask
             line = sets[s][0]
             if line.valid:
@@ -772,7 +789,7 @@ def run_compiled(
         int(out_i[_O_ALL_N]),
         int(out_i[_O_MISS_N]),
         int(out_i[_O_UNCOUNTED_STORES]),
-        [int(c) for c in out_i[_O_SERVED0 : _O_SERVED0 + 8]],
+        [int(c) for c in out_i[_O_SERVED0 : _O_SERVED0 + _N_CODES]],
         float(out_d[0]),
         float(out_d[1]),
         float(out_d[2]),

@@ -28,6 +28,15 @@ formula), and the cache word-ops' uncounted hit paths are tallied
 locally and flushed into :class:`~repro.caches.stats.CacheStats` once at
 the end — counter addition is order-free.
 
+Every L1 the hierarchy builders make takes word-ops (``load_word`` /
+``store_word``): the conventional and compression caches, and the
+:class:`~repro.caches.base.CacheFacade` wrappers of BCP/BSP (prefetch
+buffers) and BVC (victim buffer). So every config runs on the compiled
+kernel (:mod:`repro.cpu.ckernel`) when one can be built. The Python loop
+here is the fallback when it cannot, and — with word-ops switched off so
+every hook fires in ``access()`` — the loop of fault-injection and
+``REPRO_CHECK`` runs.
+
 Anything the flat loop cannot observe faithfully — load verification,
 event tracing, the i-cache model, a warm (reused) predictor — falls back
 to the reference core wholesale, sharing this core's predictor so the
@@ -42,7 +51,10 @@ from bisect import insort as _insort
 from repro.caches.base import Cache
 from repro.caches.compression_cache import CompressionCache
 from repro.caches.hierarchy import Hierarchy
-from repro.caches.interface import SERVED_BY_CODES
+from repro.caches.interface import CODE_BITS, SERVED_BY_CODES
+from repro.caches.next_line import PrefetchingCache
+from repro.caches.stride import StridePrefetchingCache
+from repro.caches.victim import VictimCache
 from repro.check.runtime import runtime_checks_enabled
 from repro.cpu.branch import BimodPredictor
 from repro.cpu.metrics import CoreMetrics
@@ -63,6 +75,18 @@ __all__ = ["FastCore"]
 #: a same-valued ``pending_resume``) commute.
 _IDX_BITS = 25
 _IDX_MASK = (1 << _IDX_BITS) - 1
+
+#: L1 classes meeting the word-op contract (``load_word``/``store_word``
+#: with an uncounted inline MRU hit). Exact types, not subclasses: a
+#: subclass could change what an MRU hit does.
+_WORD_OP_L1S = (
+    Cache,
+    CompressionCache,
+    PrefetchingCache,
+    StridePrefetchingCache,
+    VictimCache,
+)
+_CODE_MASK = (1 << CODE_BITS) - 1
 
 
 class FastCore:
@@ -164,11 +188,12 @@ class FastCore:
         l1_access = l1.access
         l1_hit_latency = l1.hit_latency
         # Word-ops: allocation-free load/store against the L1 with an
-        # uncounted inline hit path (stats flushed once at the end). Only
-        # the exact base classes implement the contract, and only when no
-        # observation hook needs the general access() path.
+        # uncounted inline hit path (stats flushed once at the end). Every
+        # L1 the hierarchy builders make implements the contract; only an
+        # observation hook (injection, runtime audits) needs the general
+        # access() path.
         use_word_ops = (
-            type(l1) in (Cache, CompressionCache)
+            type(l1) in _WORD_OP_L1S
             and not _inject.ACTIVE
             and not runtime_checks_enabled()
         )
@@ -277,7 +302,7 @@ class FastCore:
         miss_n = 0
         miss_mean = 0.0
         miss_m2 = 0.0
-        served_counts = [0] * 8  # per packed word-op code
+        served_counts = [0] * (1 << CODE_BITS)  # per packed word-op code
         served_dict: dict[str, int] = {}  # non-word-op load attribution
         uncounted_l1_ops = 0  # word-op inline hits owing stats accesses/hits
 
@@ -350,14 +375,13 @@ class FastCore:
                                 lat = forward_latency
                             elif l1_load_word is not None:
                                 packed = l1_load_word(addr, now)
-                                served_counts[packed & 7] += 1
-                                lat = packed >> 3
+                                served_counts[packed & _CODE_MASK] += 1
+                                lat = packed >> CODE_BITS
                                 if lat < 1:
                                     lat = 1
                             else:
-                                # General L1s (victim/prefetch wrappers)
-                                # have labels beyond the packed code
-                                # space; tally by name instead.
+                                # Injection and audit runs take the
+                                # general path; tally by name.
                                 result = l1_access(addr, False, None, now)
                                 sb = result.served_by
                                 served_dict[sb] = served_dict.get(sb, 0) + 1
@@ -563,7 +587,7 @@ class FastCore:
         n_l1 = served_counts[0] + served_counts[1]
         if n_l1:
             loads_by_level["l1"] = n_l1
-        for code in range(2, 8):
+        for code in range(2, len(SERVED_BY_CODES)):
             if served_counts[code]:
                 loads_by_level[SERVED_BY_CODES[code]] = served_counts[code]
         # Word-ops and the general path are mutually exclusive per run,

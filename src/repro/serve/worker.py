@@ -38,10 +38,12 @@ from repro.errors import LeaseError, ReproError
 from repro.obs import span as _span
 from repro.obs.metrics import REGISTRY
 from repro.sim import fault as _fault
+from repro.sim.runner import clear_caches
 from repro.store.cas import ResultStore
+from repro.store.integrity import fault_point
 from repro.store.queue import DEFAULT_LEASE_TTL, CampaignQueue, Job, default_worker_id
 from repro.utils.atomic import atomic_write_text
-from repro.utils.signals import interrupt_on_signal
+from repro.utils.signals import deferred_interrupts, interrupt_on_signal
 
 __all__ = ["WorkerHeartbeat", "run_worker", "main"]
 
@@ -189,79 +191,101 @@ def _alarm_guard(timeout: float | None):
 def _run_job(
     store: ResultStore,
     queue: CampaignQueue,
-    job: Job,
     worker_id: str,
     policy: _fault.FaultPolicy,
     heartbeat: WorkerHeartbeat,
     counts: dict,
-) -> None:
-    """One claimed job, end to end (complete / fail / retry-expire)."""
-    with _span.span(
-        "serve.lease",
-        campaign=queue.campaign,
-        digest=job.digest[:12],
-        attempt=job.attempt,
-    ):
-        cached = store.get(job.key)  # verified; corrupt quarantines here
-        if cached is not None:
-            queue.complete(job, worker=worker_id)
-            counts["reused"] += 1
-            REGISTRY.inc("serve.worker.cells", kind="reused")
-            return
-        heartbeat.beat(
-            "cell",
-            counts=counts,
-            cell=job.digest,
+) -> bool:
+    """Claim one job and run it end to end (complete / fail / retry-expire).
+
+    Returns False when nothing is claimable. One guard covers the claim
+    through the settle: an interrupt anywhere in between gives a lease
+    this worker still owns back to the queue.
+    """
+    held: Job | None = None  # claimed and not yet settled
+    keeper = None
+    try:
+        with deferred_interrupts():
+            held = job = queue.claim(worker_id)
+        if job is None:
+            return False
+        fault_point("worker.after_claim")
+        with _span.span(
+            "serve.lease",
             campaign=queue.campaign,
+            digest=job.digest[:12],
             attempt=job.attempt,
-            cell_started=time.time(),
-        )
-        keeper = _CellKeeper(queue, job, worker_id, heartbeat)
-        keeper.start()
-        started = time.monotonic()
-        try:
-            with _alarm_guard(policy.timeout):
-                result = _fault.matrix_cell_worker(job.task)
-        except KeyboardInterrupt:
-            # Graceful drain: give the claim back untouched.
+        ):
+            cached = store.get(job.key)  # verified; corrupt quarantines here
+            if cached is not None:
+                queue.complete(job, worker=worker_id)
+                held = None
+                counts["reused"] += 1
+                REGISTRY.inc("serve.worker.cells", kind="reused")
+                return True
+            heartbeat.beat(
+                "cell",
+                counts=counts,
+                cell=job.digest,
+                campaign=queue.campaign,
+                attempt=job.attempt,
+                cell_started=time.time(),
+            )
+            keeper = _CellKeeper(queue, job, worker_id, heartbeat)
+            keeper.start()
+            started = time.monotonic()
+            try:
+                with _alarm_guard(policy.timeout):
+                    result = _fault.matrix_cell_worker(job.task)
+            except Exception as exc:  # noqa: BLE001 - classified below
+                keeper.stop()
+                kind, message = _classify(exc)
+                REGISTRY.inc("serve.worker.attempt_failures", kind=kind)
+                if keeper.lost:
+                    counts["released"] += 1
+                    return True  # someone else owns the job now
+                if job.attempt <= policy.retries:
+                    # Retry with backoff by expiring our own lease: the
+                    # next claim (ours or anyone's) reclaims it with the
+                    # attempt count intact, so max_claims still bounds
+                    # crash loops.
+                    time.sleep(policy.backoff_delay(job.key, job.attempt))
+                    queue.expire(job.digest, worker=worker_id)
+                    held = None
+                    counts["retried"] += 1
+                else:
+                    queue.fail(job, kind=kind, message=message)
+                    held = None
+                    counts["failed"] += 1
+                    REGISTRY.inc("serve.worker.cells", kind="failed")
+                return True
             keeper.stop()
-            queue.release(job)
-            counts["released"] += 1
-            raise
-        except Exception as exc:  # noqa: BLE001 - classified below
-            keeper.stop()
-            kind, message = _classify(exc)
-            REGISTRY.inc("serve.worker.attempt_failures", kind=kind)
+            fresh = store.put(job.key, result)
+            if fresh:
+                store.log_compute(job.key, worker_id)
             if keeper.lost:
+                # The result is durably (and idempotently) in the store,
+                # but the done marker belongs to whoever holds the lease
+                # now.
                 counts["released"] += 1
-                return  # someone else owns the job now
-            if job.attempt <= policy.retries:
-                # Retry with backoff by expiring our own lease: the next
-                # claim (ours or anyone's) reclaims it with the attempt
-                # count intact, so max_claims still bounds crash loops.
-                time.sleep(policy.backoff_delay(job.key, job.attempt))
-                queue.expire(job.digest, worker=worker_id)
-                counts["retried"] += 1
-            else:
-                queue.fail(job, kind=kind, message=message)
-                counts["failed"] += 1
-                REGISTRY.inc("serve.worker.cells", kind="failed")
-            return
-        keeper.stop()
-        fresh = store.put(job.key, result)
-        if fresh:
-            store.log_compute(job.key, worker_id)
-        if keeper.lost:
-            # The result is durably (and idempotently) in the store, but
-            # the done marker belongs to whoever holds the lease now.
+                return True
+            queue.complete(job, worker=worker_id)
+            held = None
+            counts["completed"] += 1
+            REGISTRY.inc("serve.worker.cells", kind="completed")
+            REGISTRY.observe(
+                "serve.worker.cell_seconds", time.monotonic() - started
+            )
+            return True
+    except KeyboardInterrupt:
+        # Graceful drain: give the claim back untouched (unless a lost
+        # lease means it is someone else's to give).
+        if keeper is not None:
+            keeper.stop()
+        if held is not None and not (keeper is not None and keeper.lost):
+            queue.release(held)
             counts["released"] += 1
-            return
-        queue.complete(job, worker=worker_id)
-        counts["completed"] += 1
-        REGISTRY.inc("serve.worker.cells", kind="completed")
-        REGISTRY.observe(
-            "serve.worker.cell_seconds", time.monotonic() - started
-        )
+        raise
 
 
 def _flush_telemetry(store: ResultStore, worker_id: str) -> None:
@@ -317,15 +341,11 @@ def run_worker(
                 queues = _campaign_queues(store, lease_ttl)
                 claimed = False
                 for queue in queues:
-                    while True:
-                        job = queue.claim(worker_id)
-                        if job is None:
-                            break
-                        claimed = True
-                        _run_job(
-                            store, queue, job, worker_id, policy,
-                            heartbeat, counts,
-                        )
+                    ran = False
+                    while _run_job(
+                        store, queue, worker_id, policy, heartbeat, counts
+                    ):
+                        claimed = ran = True
                         done_cells += 1
                         if max_cells is not None and done_cells >= max_cells:
                             return 0
@@ -333,6 +353,11 @@ def run_worker(
                             parent_pid
                         ):
                             return 0
+                    if ran:
+                        # Nothing left to claim here: the campaign's
+                        # programs and results (committed to the store)
+                        # would only grow this long-lived process.
+                        clear_caches()
                 if not claimed:
                     heartbeat.beat("idle", counts=counts)
                     if (

@@ -33,12 +33,14 @@ from repro.obs import progress as _progress
 from repro.sim import fault as _fault
 from repro.store.cas import ResultStore
 from repro.store.checkpoint import StoreCheckpoint
+from repro.store.integrity import fault_point
 from repro.store.queue import (
     DEFAULT_LEASE_TTL,
     CampaignQueue,
     Job,
     default_worker_id,
 )
+from repro.utils.signals import deferred_interrupts
 
 __all__ = ["run_matrix_store", "campaign_name", "collect_results"]
 
@@ -202,21 +204,28 @@ def run_matrix_store(
     batch_size = max(1, max_workers or 1)
     while True:
         jobs: list[Job] = []
-        while len(jobs) < batch_size:
-            job = queue.claim(worker)
-            if job is None:
-                break
-            jobs.append(job)
-        if not jobs:
-            if queue.drained():
-                break
-            # Other workers hold live leases: wait for their completions
-            # (or their leases' expiry, which claim() then reclaims).
-            time.sleep(wait_poll)
-            continue
-        keeper = _LeaseKeeper(queue, jobs, worker, lease_ttl)
-        keeper.start()
+        keeper = None
+        # One guard from the first claim to the last settle: whatever
+        # interrupts this worker, every lease it holds goes back.
         try:
+            while len(jobs) < batch_size:
+                with deferred_interrupts():
+                    job = queue.claim(worker)
+                    if job is not None:
+                        jobs.append(job)
+                if job is None:
+                    break
+                fault_point("campaign.after_claim")
+            if not jobs:
+                if queue.drained():
+                    break
+                # Other workers hold live leases: wait for their
+                # completions (or their leases' expiry, which claim()
+                # then reclaims).
+                time.sleep(wait_poll)
+                continue
+            keeper = _LeaseKeeper(queue, jobs, worker, lease_ttl)
+            keeper.start()
             batch = _fault.run_supervised(
                 [job.task for job in jobs],
                 _fault._matrix_cell_worker,
@@ -227,8 +236,11 @@ def run_matrix_store(
                 progress=progress,
                 phase_name="store_campaign",
             )
-        except BaseException:
             keeper.stop()
+            failures = _settle_batch(queue, jobs, batch, worker)
+        except BaseException:
+            if keeper is not None:
+                keeper.stop()
             # Interrupt/fail-fast: keep what the store already has, give
             # the rest back so other workers (or a rerun) pick them up.
             for job in jobs:
@@ -237,11 +249,10 @@ def run_matrix_store(
                 else:
                     queue.release(job)
             raise
-        keeper.stop()
         outcome.results.update(batch.results)
         for key, n in batch.attempts.items():
             outcome.attempts[key] = outcome.attempts.get(key, 0) + n
-        outcome.failures.extend(_settle_batch(queue, jobs, batch, worker))
+        outcome.failures.extend(failures)
 
     # Cells other workers completed (or failed) while we drained.
     collect_results(store, tasks.keys(), results=outcome.results)

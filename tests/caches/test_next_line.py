@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from repro.caches.base import Cache
-from repro.caches.interface import MemoryPort
+from repro.caches.interface import (
+    CODE_BITS,
+    CODE_OF_SERVED,
+    SERVED_BY_CODES,
+    MemoryPort,
+)
 from repro.caches.next_line import PrefetchingCache
 from repro.errors import ConfigurationError
 from repro.memory.bus import TrafficKind
 from repro.memory.image import MemoryImage
 from repro.memory.main_memory import MainMemory
+
+from tests.conftest import cache_state, random_word_ops, replay_access, replay_word_ops
 
 BASE = 0x1000_0000
 
@@ -157,3 +164,64 @@ class TestConfig:
         )
         with pytest.raises(ConfigurationError):
             PrefetchingCache(cache, 0)
+
+
+def _code(packed: int) -> str:
+    return SERVED_BY_CODES[packed & ((1 << CODE_BITS) - 1)]
+
+
+class TestWordOps:
+    """``load_word``/``store_word``: the fast backend's L1 contract."""
+
+    def test_mru_hit_is_uncounted_code_zero(self):
+        pc, _ = make_bcp_l1()
+        pc.access(BASE, write=False, now=0)
+        before = pc.stats.as_dict()
+        packed = pc.load_word(BASE + 4, now=200)
+        assert packed == 1 << CODE_BITS  # code 0 at hit latency
+        assert pc.store_word(BASE + 8, 0x1234, now=201) is True
+        assert pc.stats.as_dict() == before
+        assert pc.cache.peek_line(pc.cache.line_no(BASE))[2] == 0x1234
+
+    def test_buffer_hit_code(self):
+        pc, _ = make_bcp_l1()
+        assert _code(pc.load_word(BASE, now=0)) == "memory"
+        packed = pc.load_word(BASE + 64, now=500)
+        assert _code(packed) == "l1-buffer"
+        assert packed >> CODE_BITS == 1
+        assert pc.stats.buffer_hits == 1
+
+    def test_late_prefetch_code(self):
+        pc, _ = make_bcp_l1()
+        pc.load_word(BASE, now=0)
+        packed = pc.load_word(BASE + 64, now=40)
+        assert _code(packed) == "l1-buffer-late"
+        assert packed >> CODE_BITS == 60  # remaining flight time
+        assert pc.stats.extra["late_prefetch_hits"] == 1
+
+    def test_store_outside_mru_goes_through_access(self):
+        pc, _ = make_bcp_l1()
+        pc.load_word(BASE, now=0)
+        assert pc.store_word(BASE + 64, 42, now=500) is False  # buffer hit
+        assert pc.stats.buffer_hits == 1
+        assert pc.access(BASE + 64, write=False, now=501).value == 42
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_word_ops_match_access(self, seed):
+        ops = random_word_ops(seed, BASE, n_lines=20)
+        via_access, mem_a = make_bcp_l1()
+        replay_access(via_access, ops)
+        via_words, mem_w = make_bcp_l1()
+        replay_word_ops(via_words, ops)
+        assert via_words.stats.as_dict() == via_access.stats.as_dict()
+        assert cache_state(via_words.cache) == cache_state(via_access.cache)
+        assert list(via_words.buffer._entries) == list(via_access.buffer._entries)
+        assert mem_w.bus.total_words == mem_a.bus.total_words
+
+
+def test_every_served_label_has_a_code_that_fits():
+    assert SERVED_BY_CODES[0] == SERVED_BY_CODES[1] == "l1"
+    for name, code in CODE_OF_SERVED.items():
+        assert SERVED_BY_CODES[code] == name
+        assert 0 < code < 1 << CODE_BITS
+    assert set(CODE_OF_SERVED) == set(SERVED_BY_CODES)

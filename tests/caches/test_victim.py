@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.caches.hierarchy import build_hierarchy
-from repro.caches.interface import MemoryPort
+from repro.caches.interface import CODE_BITS, SERVED_BY_CODES, MemoryPort
 from repro.caches.victim import VictimAwareCache, VictimBuffer, VictimCache
 from repro.errors import ConfigurationError
 from repro.memory.image import MemoryImage
@@ -13,7 +13,13 @@ from repro.sim.config import SimConfig
 from repro.sim.machine import Machine
 from repro.workloads.registry import generate
 
-from tests.conftest import TINY_PARAMS
+from tests.conftest import (
+    TINY_PARAMS,
+    cache_state,
+    random_word_ops,
+    replay_access,
+    replay_word_ops,
+)
 
 BASE = 0x1000_0000
 
@@ -89,6 +95,51 @@ class TestVictimRecovery:
         vc.access(BASE + 512, write=False)
         vc.flush()
         assert mem.peek_word(BASE) == 5
+
+
+class TestWordOps:
+    """``load_word``/``store_word``: the fast backend's L1 contract."""
+
+    def test_mru_hit_is_uncounted_code_zero(self):
+        vc, _ = make_victim_l1()
+        vc.access(BASE, write=False)
+        before = vc.stats.as_dict()
+        assert vc.load_word(BASE + 4) == 1 << CODE_BITS  # code 0, hit latency
+        assert vc.store_word(BASE + 8, 77) is True
+        assert vc.stats.as_dict() == before
+        assert vc.cache.peek_line(vc.cache.line_no(BASE))[2] == 77
+
+    def test_victim_recovery_code(self):
+        vc, mem = make_victim_l1()
+        mem.poke_word(BASE, 7)
+        vc.load_word(BASE)
+        vc.load_word(BASE + 512)  # conflicts: A -> victim buffer
+        packed = vc.load_word(BASE)
+        assert SERVED_BY_CODES[packed & ((1 << CODE_BITS) - 1)] == "l1-victim"
+        assert packed >> CODE_BITS == 1
+        assert vc.stats.extra["victim_hits"] == 1
+
+    def test_store_into_victim_goes_through_access(self):
+        vc, _ = make_victim_l1()
+        vc.load_word(BASE)
+        vc.load_word(BASE + 512)
+        assert vc.store_word(BASE + 4, 99) is False  # recovered, then written
+        assert vc.stats.extra["victim_hits"] == 1
+        assert vc.access(BASE + 4, write=False).value == 99
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_word_ops_match_access(self, seed):
+        ops = random_word_ops(seed, BASE, n_lines=20)
+        via_access, mem_a = make_victim_l1()
+        replay_access(via_access, ops)
+        via_words, mem_w = make_victim_l1()
+        replay_word_ops(via_words, ops)
+        assert via_words.stats.as_dict() == via_access.stats.as_dict()
+        assert cache_state(via_words.cache) == cache_state(via_access.cache)
+        assert list(via_words.cache.victim_buffer._entries.items()) == list(
+            via_access.cache.victim_buffer._entries.items()
+        )
+        assert mem_w.bus.total_words == mem_a.bus.total_words
 
 
 class TestBvcHierarchy:

@@ -62,7 +62,9 @@ class TestRandomProgram:
         assert a.trace.addr.tolist() != b.trace.addr.tolist()
 
 
-@pytest.mark.parametrize("config", ["BC", "CPP"])
+@pytest.mark.parametrize(
+    "config", ["BC", "BCC", "HAC", "BCP", "CPP", "BSP", "BVC"]
+)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lockstep_random_programs(config, seed):
     runner = BackendDiffRunner(config)

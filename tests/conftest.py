@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.caches.hierarchy import HierarchyParams, build_hierarchy
+from repro.caches.interface import CODE_BITS
 from repro.memory.image import MemoryImage
 from repro.memory.main_memory import MainMemory
 
@@ -67,6 +70,57 @@ def seeded_memory() -> MainMemory:
             value = 0xDEAD_0000 | i
         img.write_word(addr, value)
     return MainMemory(img, latency=100)
+
+
+def random_word_ops(seed: int, base: int, n_lines: int, n_ops: int = 400):
+    """``[(addr, store_value or None, now)]`` over *n_lines* 64 B lines.
+
+    Time advances by 0..60 cycles per op, so prefetches are both late
+    and on time; about a third of the ops are stores.
+    """
+    rng = random.Random(seed)
+    ops, now = [], 0
+    for _ in range(n_ops):
+        addr = base + 64 * rng.randrange(n_lines) + 4 * rng.randrange(16)
+        value = rng.getrandbits(32) if rng.random() < 0.35 else None
+        ops.append((addr, value, now))
+        now += rng.randrange(61)
+    return ops
+
+
+def replay_word_ops(l1, ops) -> list[int]:
+    """Run *ops* through *l1*'s word-ops; returns the packed load results.
+
+    The uncounted inline hits (code-0 loads, stores reporting True) are
+    flushed into ``l1.stats`` at the end, as the fast core does.
+    """
+    packed_loads, uncounted = [], 0
+    for addr, value, now in ops:
+        if value is None:
+            packed = l1.load_word(addr, now)
+            packed_loads.append(packed)
+            uncounted += (packed & ((1 << CODE_BITS) - 1)) == 0
+        else:
+            uncounted += l1.store_word(addr, value, now)
+    l1.stats.accesses += uncounted
+    l1.stats.hits += uncounted
+    return packed_loads
+
+
+def replay_access(l1, ops) -> None:
+    """Run *ops* through *l1*'s general ``access()`` path."""
+    for addr, value, now in ops:
+        l1.access(addr, write=value is not None, value=value, now=now)
+
+
+def cache_state(cache) -> list:
+    """(line_no, dirty, data) of every valid line, set by set, MRU first."""
+    return [
+        (line.line_no, line.dirty, list(line.data))
+        for ways in cache._sets
+        for line in ways
+        if line.valid
+    ]
 
 
 def make_tiny(config: str, mem: MainMemory | None = None):

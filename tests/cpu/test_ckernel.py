@@ -99,3 +99,34 @@ class TestFallbackEquivalence:
         monkeypatch.setenv("REPRO_DISABLE_CKERNEL", "1")
         without_kernel = _full_dict(program, "fast")
         assert with_kernel == without_kernel
+
+
+def test_bcp_runs_on_the_kernel(monkeypatch):
+    """The prefetching L1 facade takes word-ops: the kernel runs the
+    cell, and only MRU misses reach the facade's general access()."""
+    if not ckernel.kernel_available():
+        pytest.skip("compiled kernel unavailable on this host")
+    from repro.caches.next_line import PrefetchingCache
+
+    tallies = []
+    run_compiled = ckernel.run_compiled
+
+    def recording_run_compiled(*args, **kwargs):
+        out = run_compiled(*args, **kwargs)
+        tallies.append(out)
+        return out
+
+    calls = [0]
+    access = PrefetchingCache.access
+
+    def counting_access(self, *args, **kwargs):
+        calls[0] += 1
+        return access(self, *args, **kwargs)
+
+    monkeypatch.setattr(ckernel, "run_compiled", recording_run_compiled)
+    monkeypatch.setattr(PrefetchingCache, "access", counting_access)
+    config = SimConfig(cache_config="BCP", backend="fast")
+    result = Machine(config).run(random_program(2, n_ops=400))
+    assert len(tallies) == 1 and tallies[0] is not None
+    metrics = result.metrics
+    assert 0 < calls[0] < metrics.load_count + metrics.store_count
