@@ -427,8 +427,9 @@ class CompressionCache:
 
         # Single-copy invariant: if a clean affiliated copy of this line
         # exists, merge any words the fill lacked, then clear it.
-        holder = self._find_primary(self.affiliated_line(line_no), touch=False)
-        if holder is not None and holder is not frame and holder.aa:
+        aff_no = self.affiliated_line(line_no)
+        holder = self._find_primary(aff_no, touch=False)
+        if holder is not None and holder.aa:
             extra = holder.aa & ~frame.pa
             if extra:
                 pvals = frame.pvals
@@ -446,12 +447,8 @@ class CompressionCache:
         # Install the piggy-backed affiliated payload (the partial prefetch),
         # unless the affiliated line is already present as a primary line
         # ("the prefetched affiliated line is discarded if it is already in
-        # the cache").
-        aff_no = self.affiliated_line(line_no)
-        if (
-            resp.affil_values is not None
-            and self._find_primary(aff_no, touch=False) is None
-        ):
+        # the cache"; nothing above changed which lines are primary).
+        if resp.affil_values is not None and holder is None:
             candidates = resp.affil_avail & self._slot_mask(frame) & ~frame.aa
             affil_comp = resp.affil_comp if self._shared_scheme else None
             legal = (
@@ -547,6 +544,8 @@ class CompressionCache:
                 self.hit_latency, "l1", None if write else frame.pvals[widx]
             )
 
+        # The compiled kernel (_C_SOURCE in repro.cpu.ckernel) repeats this
+        # affiliated-hit rule for MRU holders; change both together.
         holder = self._find_affiliated(ln)
         if holder is not None and (holder.aa >> widx) & 1:
             self.stats.record_access(hit=True)
@@ -632,7 +631,9 @@ class CompressionCache:
             # The primary word now needs the full slot (it became
             # incompressible, or the scheme is too wide to pair two values
             # in one slot); the affiliated word there is evicted (primary
-            # priority, §3.3). Affiliated words are always clean.
+            # priority, §3.3). Affiliated words are always clean. The
+            # compiled kernel (_C_SOURCE in repro.cpu.ckernel) repeats this
+            # rule and the classifier above for MRU stores; change both.
             frame.aa &= ~bit
             self.stats.dropped_affiliated_words += 1
         frame.dirty = True
@@ -646,6 +647,13 @@ class CompressionCache:
         batches ``accesses``/``hits``; anything else goes through
         :meth:`access` and is counted there. Callers must ensure no
         observation hook (tracing, injection, audits) is active.
+
+        The compiled kernel (:mod:`repro.cpu.ckernel`) answers two more
+        cases itself from its mirror of each set's MRU frame and never
+        calls this method for them: a word in the MRU primary way, and
+        a word in the affiliated place of an MRU holder (``l1-affiliated``,
+        whose counters it batches too). With the kernel on, this method
+        therefore sees only loads that miss the MRU ways.
         """
         ln = addr >> self.line_shift
         frame = self._sets[ln & self.set_mask][0]
@@ -669,9 +677,14 @@ class CompressionCache:
 
     def _slice_hit(
         self, ln: int, offset: int, n_words: int, need_idx: int
-    ) -> tuple[list[int], int, int, int, str] | None:
-        """Locate line *ln*; returns (values, avail, comp, extra_latency, tag)
-        full-line views, or None on miss (per serve_partial policy)."""
+    ) -> tuple[tuple[list[int], int, int, int, str] | None, bool]:
+        """Locate line *ln*; returns ``(located, resident)``.
+
+        *located* is the (values, avail, comp, extra_latency, tag)
+        full-line view on a hit, or None on a miss (per serve_partial
+        policy); *resident* says whether any copy of the line — primary
+        or affiliated — was found, i.e. whether a miss is a hole miss.
+        """
         frame = self._find_primary(ln)
         if frame is not None:
             if self.policy.serve_partial:
@@ -680,7 +693,7 @@ class CompressionCache:
                 seg = ((1 << n_words) - 1) << offset
                 ok = (frame.pa & seg) == seg
             if ok:
-                return frame.pvals, frame.pa, frame.vcp, 0, "l2"
+                return (frame.pvals, frame.pa, frame.vcp, 0, "l2"), True
         holder = self._find_affiliated(ln)
         if holder is not None:
             if self.policy.serve_partial:
@@ -695,8 +708,8 @@ class CompressionCache:
                     holder.aa,  # affiliated words are compressible by invariant
                     self.policy.affiliated_extra_latency,
                     "l2-affiliated",
-                )
-        return None
+                ), True
+        return None, frame is not None or holder is not None
 
     def fetch(
         self,
@@ -728,7 +741,7 @@ class CompressionCache:
 
         if _inject.ACTIVE:
             _inject.SESSION.before_serve(self, addr, pair_addr)
-        located = self._slice_hit(ln, offset, n_words, need_idx)
+        located, resident = self._slice_hit(ln, offset, n_words, need_idx)
         if located is not None:
             self.stats.record_access(hit=True)
             values, avail, comp, extra, tag = located
@@ -744,10 +757,7 @@ class CompressionCache:
                 )
             latency = self.hit_latency + extra
         else:
-            if (
-                self._find_primary(ln, touch=False) is not None
-                or self._find_affiliated(ln, touch=False) is not None
-            ):
+            if resident:
                 self.stats.hole_misses += 1
             self.stats.record_access(hit=False)
             if _trace.ACTIVE:

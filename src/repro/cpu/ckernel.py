@@ -10,29 +10,56 @@ Python loop whenever a compiler is unavailable (or the build fails, or
 ``REPRO_DISABLE_CKERNEL`` is set).
 
 The kernel owns the pipeline schedule (fetch/dispatch/issue/writeback/
-commit, the completion heap, the ready list, the Welford accumulators)
-but *not* the cache model, which stays in Python:
+commit, the completion heap, the ready list, the Welford accumulators).
+The cache model stays in Python, except for a mirror of each set's MRU
+frame that the kernel reads and, for a compression cache, also writes:
 
-* The kernel mirrors only the L1's MRU way per set (``mru_line`` /
-  ``mru_pa`` arrays). A load whose word is present in the mirrored MRU
-  way is the cache's uncounted inline-hit path — served at
-  ``hit_latency`` with zero Python involvement, exactly what
-  ``load_word`` would do. For a facade L1 (BCP/BSP prefetch buffers,
-  BVC victim buffer) the mirror is the *wrapped* cache's MRU ways: a hit
-  there never consults the buffer, so it is the same inline hit.
+* The kernel mirrors the L1's MRU way per set (``mru_line`` / ``mru_pa``
+  arrays). A load whose word is present in the mirrored MRU way is the
+  cache's uncounted inline-hit path — served at ``hit_latency`` with
+  zero Python involvement, exactly what ``load_word`` would do. For a
+  facade L1 (BCP/BSP prefetch buffers, BVC victim buffer) the mirror is
+  the *wrapped* cache's MRU ways: a hit there never consults the buffer,
+  so it is the same inline hit.
+* For a CPP L1 (:class:`CompressionCache`) the mirror also holds each
+  MRU frame's ``VCP`` and ``AA`` masks (``mru_vcp`` / ``mru_aa``), and
+  the kernel keeps two kinds of CPP event out of Python:
+
+  - an *affiliated hit*: the word misses the MRU primary way but sits
+    in the affiliated place of the MRU frame holding the partner line
+    (``line XOR mask``). It is served at ``hit_latency +
+    affiliated_extra_latency`` and tallied; by the single-copy
+    invariant the line is primary nowhere, and the LRU touch of an MRU
+    way is a no-op, so the hit changes nothing but counters (folded
+    into the L1's ``accesses``/``hits``/``affiliated_hits`` at the end
+    of the run). This works for every codec: it reads only ``AA``.
+  - under the paper's prefix scheme, *every* MRU primary store hit.
+    The kernel classifies the value itself, updates ``mru_vcp`` and,
+    when the word turns incompressible over an affiliated word, clears
+    that ``mru_aa`` bit and counts a dropped affiliated word (primary
+    priority, paper §3.3). The data word goes to a store journal; a
+    store that flipped a ``VCP`` bit also journals its set's new
+    ``VCP``/``AA`` masks.
+
+  Both journals are drained into the Python frames before every
+  callback and once at the end, so Python always sees a cache state
+  that includes every store the kernel applied.
 * Everything else crosses back into Python via two ``ctypes`` callbacks
-  (one for load misses-of-the-MRU-way, one for every store, which may
-  mutate frame metadata). The callback runs the ordinary word-op against
-  the real cache and then refreshes the mirror entries for the only sets
-  the access can have touched (the addressed set and, for a compression
+  (one for loads that miss the mirror, one for stores the kernel does
+  not journal). The callback runs the ordinary word-op against the real
+  cache and then refreshes the mirror entries for the only sets the
+  access can have touched (the addressed set and, for a compression
   cache, its affiliated set; a facade's buffer install or victim
   recovery lands in the addressed set) — so the mirror never claims a
-  false hit.
+  false hit. With the prefix scheme, a CPP L1 is thus entered only on
+  real L1 misses and on promotions (stores into the affiliated place).
 
 Bit-identicality holds because the C loop is a statement-for-statement
 transcription of the Python fast loop and the Welford recurrences use
 the same IEEE-754 double operations in the same order (compiled without
-``-ffast-math``, so the compiler may not reassociate them).
+``-ffast-math``, so the compiler may not reassociate them). The CPP
+events the kernel serves itself change exactly the state and counters
+``CompressionCache.access`` would; counter addition is order-free.
 """
 
 from __future__ import annotations
@@ -49,7 +76,7 @@ import numpy as np
 
 from repro.caches.base import CacheFacade
 from repro.caches.compression_cache import CompressionCache
-from repro.caches.interface import CODE_BITS
+from repro.caches.interface import CODE_BITS, CODE_OF_SERVED
 from repro.errors import TraceError
 
 __all__ = ["kernel_available", "run_compiled"]
@@ -59,7 +86,10 @@ __all__ = ["kernel_available", "run_compiled"]
 #: Per-code load tallies the kernel keeps (one per packed word-op code).
 _N_CODES = 1 << CODE_BITS
 
-_C_SOURCE = f"#define CODE_BITS {CODE_BITS}\n" + r"""
+_C_SOURCE = (
+    f"#define CODE_BITS {CODE_BITS}\n"
+    f"#define CODE_AFFILIATED {CODE_OF_SERVED['l1-affiliated']}\n"
+) + r"""
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -74,16 +104,23 @@ enum {
     P_RUU, P_LSQ, P_IFQ, P_MISP_PEN, P_FWD_LAT, P_IDLE_SKIP,
     P_L1_HIT, P_N_SLOTS, P_SET_MASK, P_LINE_SHIFT, P_WIDX_MASK,
     P_HARD_LIMIT,
-    /* Trivial-store journal: 0 = off, 1 = conventional cache (any MRU
-       hit is trivial), 2 = compression cache with the prefix scheme
-       (MRU hit whose compressibility bit is unchanged is trivial). */
-    P_TRIVIAL_MODE, P_SMALL_SHIFT, P_SMALL_ONES, P_PTR_SHIFT
+    /* Store journal: 0 = off, 1 = conventional cache (any MRU hit is
+       journaled), 2 = compression cache with the prefix scheme (any MRU
+       primary hit is journaled; one that flips the word's
+       compressibility bit also updates mru_vcp/mru_aa and journals the
+       set's new flags). */
+    P_JOURNAL_MODE, P_SMALL_SHIFT, P_SMALL_ONES, P_PTR_SHIFT,
+    /* Compression cache: the affiliated-line pairing mask (0 = not a
+       compression cache, no affiliated probe) and the latency of an
+       affiliated hit. */
+    P_PAIR_MASK, P_AFF_LAT
 };
 
 enum {
     O_ERR, O_NOW, O_COMMITTED, O_STORE_COUNT, O_N_LOADS, O_FWD_LOADS,
     O_N_MISPRED, O_FETCH_STALL, O_MISS_CYCLES, O_ALL_N, O_MISS_N,
-    O_UNCOUNTED_STORES, O_ERR_A, O_ERR_B, O_SERVED0
+    O_UNCOUNTED_STORES, O_ERR_A, O_ERR_B, O_AFF_HITS, O_DROPPED_AA,
+    O_SERVED0
     /* O_SERVED0 .. O_SERVED0+N_CODES-1: per-code load counts */
 };
 
@@ -133,8 +170,9 @@ int64_t run_core(
        callbacks while this function is on the stack: volatile forbids
        caching them across the callback boundary. */
     volatile const int64_t *mru_line, volatile const uint32_t *mru_pa,
-    volatile const uint32_t *mru_vcp,
+    volatile uint32_t *mru_vcp, volatile uint32_t *mru_aa,
     uint64_t *journal, volatile int64_t *journal_n,
+    int64_t *flag_journal, volatile int64_t *flag_journal_n,
     load_cb_t load_cb, store_cb_t store_cb,
     int64_t *out_i, double *out_d)
 {
@@ -155,10 +193,12 @@ int64_t run_core(
     const int64_t line_shift = params[P_LINE_SHIFT];
     const uint32_t widx_mask = (uint32_t)params[P_WIDX_MASK];
     const int64_t hard_limit = params[P_HARD_LIMIT];
-    const int64_t trivial_mode = params[P_TRIVIAL_MODE];
+    const int64_t journal_mode = params[P_JOURNAL_MODE];
     const uint32_t small_shift = (uint32_t)params[P_SMALL_SHIFT];
     const uint32_t small_ones = (uint32_t)params[P_SMALL_ONES];
     const uint32_t ptr_shift = (uint32_t)params[P_PTR_SHIFT];
+    const int64_t pair_mask = params[P_PAIR_MASK];
+    const int64_t aff_lat = params[P_AFF_LAT];
 
     uint8_t *state = (uint8_t *)calloc((size_t)n, 1);
     uint8_t *pending = (uint8_t *)calloc((size_t)n, 1);
@@ -175,7 +215,7 @@ int64_t run_core(
     int64_t served[N_CODES] = {0};
     int64_t store_count = 0, n_loads = 0, fwd_loads = 0, n_mispred = 0;
     int64_t fetch_stall = 0, miss_cycles = 0, uncounted_stores = 0;
-    int64_t all_n = 0, miss_n = 0;
+    int64_t all_n = 0, miss_n = 0, aff_hits = 0, dropped_aa = 0;
     double all_mean = 0.0, all_m2 = 0.0, miss_mean = 0.0, miss_m2 = 0.0;
 
     if (!state || !pending || !missf || !heap || !ready || n_slots > 64) {
@@ -229,28 +269,47 @@ int64_t run_core(
                     if (kind == 2) {
                         uint32_t addr = addr_arr[idx];
                         uint32_t value = value_arr[idx];
-                        int trivial = 0;
-                        if (trivial_mode) {
+                        int journaled = 0;
+                        if (journal_mode) {
                             int64_t ln = (int64_t)(addr >> line_shift);
                             int64_t si = ln & set_mask;
                             uint32_t bit = 1u << ((addr >> 2) & widx_mask);
                             if (mru_line[si] == ln && (mru_pa[si] & bit)) {
-                                if (trivial_mode == 1) {
-                                    trivial = 1;
-                                } else {
+                                journaled = 1;
+                                if (journal_mode == 2) {
                                     uint32_t top = value >> small_shift;
                                     int comp = (top == 0) || (top == small_ones)
                                         || ((value >> ptr_shift)
                                             == (addr >> ptr_shift));
-                                    if (comp == ((mru_vcp[si] & bit) != 0))
-                                        trivial = 1;
+                                    uint32_t vcp = mru_vcp[si];
+                                    if (comp != ((vcp & bit) != 0)) {
+                                        /* _cpu_write: the VCP bit follows
+                                           the value; an incompressible
+                                           word reclaims its slot from an
+                                           affiliated word (primary
+                                           priority, paper 3.3). */
+                                        uint32_t aa = mru_aa[si];
+                                        vcp ^= bit;
+                                        if (!comp && (aa & bit)) {
+                                            aa &= ~bit;
+                                            mru_aa[si] = aa;
+                                            dropped_aa++;
+                                        }
+                                        mru_vcp[si] = vcp;
+                                        int64_t f = 3 * (*flag_journal_n)++;
+                                        flag_journal[f] = si;
+                                        flag_journal[f + 1] = vcp;
+                                        flag_journal[f + 2] = aa;
+                                    }
                                 }
                             }
                         }
-                        if (trivial) {
-                            /* Uncounted MRU hit whose only effect is the
-                               data word itself; deferred to the journal,
-                               drained before the next Python callback. */
+                        if (journaled) {
+                            /* Uncounted MRU hit whose data word (and, via
+                               the flag journal, its set's VCP/AA masks)
+                               is its only effect; deferred to the
+                               journal, drained before the next Python
+                               callback. */
                             journal[(*journal_n)++] =
                                 ((uint64_t)addr << 32) | (uint64_t)value;
                             uncounted_stores++;
@@ -289,10 +348,21 @@ int64_t run_core(
                         } else {
                             int64_t ln = (int64_t)(addr >> line_shift);
                             int64_t si = ln & set_mask;
-                            if (mru_line[si] == ln &&
-                                ((mru_pa[si] >> ((addr >> 2) & widx_mask)) & 1u)) {
+                            uint32_t widx = (addr >> 2) & widx_mask;
+                            int64_t hn = ln ^ pair_mask;
+                            int64_t hs = hn & set_mask;
+                            if (mru_line[si] == ln && ((mru_pa[si] >> widx) & 1u)) {
                                 lat = l1_hit;
                                 served[0]++;
+                            } else if (pair_mask && mru_line[hs] == hn
+                                       && ((mru_aa[hs] >> widx) & 1u)) {
+                                /* Affiliated hit in the MRU holder: by the
+                                   single-copy invariant ln is primary
+                                   nowhere, and the LRU touch of an MRU way
+                                   is a no-op, so only counters change. */
+                                lat = aff_lat;
+                                served[CODE_AFFILIATED]++;
+                                aff_hits++;
                             } else {
                                 int64_t packed = load_cb(addr, now);
                                 if (packed < 0) { err = 3; goto done; }
@@ -440,6 +510,8 @@ done:
     out_i[O_UNCOUNTED_STORES] = uncounted_stores;
     out_i[O_ERR_A] = err_a;
     out_i[O_ERR_B] = err_b;
+    out_i[O_AFF_HITS] = aff_hits;
+    out_i[O_DROPPED_AA] = dropped_aa;
     for (int c = 0; c < N_CODES; c++) out_i[O_SERVED0 + c] = served[c];
     out_d[D_ALL_MEAN] = all_mean;
     out_d[D_ALL_M2] = all_m2;
@@ -457,7 +529,8 @@ _STORE_CB = ctypes.CFUNCTYPE(
 # Output-array indices (mirror the C enums).
 _O_ERR, _O_NOW, _O_COMMITTED, _O_STORE_COUNT, _O_N_LOADS, _O_FWD_LOADS = range(6)
 _O_N_MISPRED, _O_FETCH_STALL, _O_MISS_CYCLES, _O_ALL_N, _O_MISS_N = range(6, 11)
-_O_UNCOUNTED_STORES, _O_ERR_A, _O_ERR_B, _O_SERVED0 = range(11, 15)
+_O_UNCOUNTED_STORES, _O_ERR_A, _O_ERR_B, _O_AFF_HITS, _O_DROPPED_AA = range(11, 16)
+_O_SERVED0 = 16
 _OUT_I_LEN = _O_SERVED0 + _N_CODES
 
 # ---- build & cache ------------------------------------------------------------
@@ -502,7 +575,7 @@ def _build() -> ctypes._CFuncPtr | None:
     lib = ctypes.CDLL(str(so_path))
     fn = lib.run_core
     fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_void_p] * 21 + [
+    fn.argtypes = [ctypes.c_void_p] * 24 + [
         _LOAD_CB,
         _STORE_CB,
         ctypes.c_void_p,
@@ -590,25 +663,32 @@ def run_compiled(
     mru_line = np.full(n_sets, -1, dtype=np.int64)
     mru_pa = np.zeros(n_sets, dtype=np.uint32)
     mru_vcp = np.zeros(n_sets, dtype=np.uint32)
+    mru_aa = np.zeros(n_sets, dtype=np.uint32)
     journal = np.zeros(cols["n_stores"] + 1, dtype=np.uint64)
     journal_n = np.zeros(1, dtype=np.int64)
+    # (set, vcp, aa) triples of journaled stores that flipped a VCP bit;
+    # a subset of the journal, so it never outgrows it.
+    flag_journal = np.zeros(3 * (cols["n_stores"] + 1), dtype=np.int64)
+    flag_journal_n = np.zeros(1, dtype=np.int64)
     exc: list[BaseException] = []
     load_word = l1.load_word
     store_word = l1.store_word
 
     if type(cache) is CompressionCache:
         pair_mask = cache.policy.mask
-        trivial_mode = (
+        aff_lat = max(1, cache.hit_latency + cache.policy.affiliated_extra_latency)
+        journal_mode = (
             2 if (cache._prefix_params is not None and cache._pair_in_slot) else 0
         )
         prefix = cache._prefix_params or (0, 0, 0)
 
         def _drain() -> None:
-            # Apply journaled trivial stores (MRU primary hits whose
-            # compressibility bit did not change: their only effect is
-            # the data word and the dirty flag). Nothing touched the
-            # cache since they were journaled, so their frames are still
-            # the MRU way of their sets.
+            # Apply journaled MRU primary store hits: the data word and
+            # the dirty flag, then the VCP/AA masks the kernel rewrote
+            # for the stores that flipped a compressibility bit (later
+            # triples of a set supersede earlier ones). Nothing touched
+            # the cache since they were journaled, so their frames are
+            # still the MRU way of their sets.
             count = journal_n[0]
             if count:
                 for packed in journal[:count].tolist():
@@ -617,6 +697,14 @@ def run_compiled(
                     frame.pvals[(addr >> 2) & widx_mask] = packed & 0xFFFFFFFF
                     frame.dirty = True
                 journal_n[0] = 0
+                n_flags = flag_journal_n[0]
+                if n_flags:
+                    triples = iter(flag_journal[: 3 * n_flags].tolist())
+                    for s, vcp, aa in zip(triples, triples, triples):
+                        frame = sets[s][0]
+                        frame.vcp = vcp
+                        frame.aa = aa
+                    flag_journal_n[0] = 0
 
         def _refresh(ln: int) -> None:
             # The only frames an access can touch live in the addressed
@@ -627,6 +715,7 @@ def run_compiled(
                 mru_line[s] = frame.line_no
                 mru_pa[s] = frame.pa
                 mru_vcp[s] = frame.vcp
+                mru_aa[s] = frame.aa
 
         def _on_load(addr: int, now: int) -> int:
             try:
@@ -650,7 +739,8 @@ def run_compiled(
 
     else:
         full_mask = cache.full_mask
-        trivial_mode = 1
+        pair_mask = aff_lat = 0
+        journal_mode = 1
         prefix = (0, 0, 0)
 
         def _drain() -> None:
@@ -719,10 +809,12 @@ def run_compiled(
             line_shift,
             l1.line_words - 1,
             hard_limit,
-            trivial_mode,
+            journal_mode,
             prefix[0],
             prefix[1],
             prefix[2],
+            pair_mask,
+            aff_lat,
         ],
         dtype=np.int64,
     )
@@ -752,8 +844,11 @@ def run_compiled(
         mru_line.ctypes.data,
         mru_pa.ctypes.data,
         mru_vcp.ctypes.data,
+        mru_aa.ctypes.data,
         journal.ctypes.data,
         journal_n.ctypes.data,
+        flag_journal.ctypes.data,
+        flag_journal_n.ctypes.data,
         load_cb,
         store_cb,
         out_i.ctypes.data,
@@ -789,6 +884,8 @@ def run_compiled(
         int(out_i[_O_ALL_N]),
         int(out_i[_O_MISS_N]),
         int(out_i[_O_UNCOUNTED_STORES]),
+        int(out_i[_O_AFF_HITS]),
+        int(out_i[_O_DROPPED_AA]),
         [int(c) for c in out_i[_O_SERVED0 : _O_SERVED0 + _N_CODES]],
         float(out_d[0]),
         float(out_d[1]),

@@ -204,8 +204,9 @@ class FastCore:
         fu = FuPool(cfg.fu)
 
         # The compiled kernel runs the identical schedule natively,
-        # crossing into Python only for cache misses and stores; when it
-        # is unavailable the Python loop below produces the same bits.
+        # crossing into Python only for the loads and stores its MRU
+        # mirror cannot serve; when it is unavailable the Python loop
+        # below produces the same bits.
         if use_word_ops:
             from repro.cpu.ckernel import run_compiled
 
@@ -233,6 +234,8 @@ class FastCore:
                     all_n,
                     miss_n,
                     uncounted_l1_ops,
+                    inline_affiliated_hits,
+                    dropped_affiliated_words,
                     served_counts,
                     all_mean,
                     all_m2,
@@ -261,6 +264,8 @@ class FastCore:
                     uncounted_l1_ops,
                     bp_branches,
                     bp_mispredicts,
+                    inline_affiliated_hits,
+                    dropped_affiliated_words,
                 )
 
         #: READY trace indices in ascending (program) order: dispatch
@@ -567,20 +572,29 @@ class FastCore:
         uncounted_l1_ops: int,
         bp_branches: int,
         bp_mispredicts: int,
+        inline_affiliated_hits: int = 0,
+        dropped_affiliated_words: int = 0,
     ) -> CoreResult:
         """Fold locally tallied statistics into the shared accounting.
 
         Shared by the Python loop and the compiled kernel — both count
-        with the same local tallies, so the flush is identical.
+        with the same local tallies, so the flush is identical. Only the
+        kernel serves affiliated hits and slot-reclaiming stores inline,
+        so only it passes the last two tallies.
         """
         predictor = self.predictor
         predictor.lookups += bp_branches
         predictor.correct += bp_branches - bp_mispredicts
-        uncounted_l1_ops += served_counts[0]  # code-0 (inline-hit) loads
+        # code-0 (inline-hit) loads, plus the kernel's inline affiliated
+        # hits (already tallied under their own load code); a dropped
+        # affiliated word implies a journaled store, so it is covered.
+        uncounted_l1_ops += served_counts[0] + inline_affiliated_hits
         if uncounted_l1_ops:
             stats = l1.stats
             stats.accesses += uncounted_l1_ops
             stats.hits += uncounted_l1_ops
+            stats.affiliated_hits += inline_affiliated_hits
+            stats.dropped_affiliated_words += dropped_affiliated_words
         loads_by_level = metrics.loads_by_level
         if forwarded_loads:
             loads_by_level["forward"] = forwarded_loads

@@ -63,10 +63,15 @@ class TestRandomProgram:
 
 
 @pytest.mark.parametrize(
-    "config", ["BC", "BCC", "HAC", "BCP", "CPP", "BSP", "BVC"]
+    # "CPP+fpc": CPP under a non-prefix codec, where the compiled kernel
+    # serves affiliated hits inline with its store journal off.
+    "config", ["BC", "BCC", "HAC", "BCP", "CPP", "BSP", "BVC", "CPP+fpc"]
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_lockstep_random_programs(config, seed):
+def test_lockstep_random_programs(config, seed, monkeypatch):
+    config, _, codec = config.partition("+")
+    if codec:
+        monkeypatch.setenv("REPRO_CODEC", codec)
     runner = BackendDiffRunner(config)
     divergence = runner.run(random_program(seed))
     assert divergence is None, divergence.describe()

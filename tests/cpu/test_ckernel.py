@@ -101,6 +101,19 @@ class TestFallbackEquivalence:
         assert with_kernel == without_kernel
 
 
+def _count_access(monkeypatch, cls):
+    """Patch ``cls.access`` to record the name of every cache it serves."""
+    names = []
+    access = cls.access
+
+    def counting_access(self, *args, **kwargs):
+        names.append(self.name)
+        return access(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "access", counting_access)
+    return names
+
+
 def test_bcp_runs_on_the_kernel(monkeypatch):
     """The prefetching L1 facade takes word-ops: the kernel runs the
     cell, and only MRU misses reach the facade's general access()."""
@@ -116,17 +129,66 @@ def test_bcp_runs_on_the_kernel(monkeypatch):
         tallies.append(out)
         return out
 
-    calls = [0]
-    access = PrefetchingCache.access
-
-    def counting_access(self, *args, **kwargs):
-        calls[0] += 1
-        return access(self, *args, **kwargs)
-
     monkeypatch.setattr(ckernel, "run_compiled", recording_run_compiled)
-    monkeypatch.setattr(PrefetchingCache, "access", counting_access)
+    calls = _count_access(monkeypatch, PrefetchingCache)
     config = SimConfig(cache_config="BCP", backend="fast")
     result = Machine(config).run(random_program(2, n_ops=400))
     assert len(tallies) == 1 and tallies[0] is not None
     metrics = result.metrics
-    assert 0 < calls[0] < metrics.load_count + metrics.store_count
+    assert 0 < len(calls) < metrics.load_count + metrics.store_count
+
+
+class TestCPPOnTheKernel:
+    """The kernel serves CPP's MRU primary hits, affiliated hits and
+    primary store hits itself; Python sees only misses and promotions."""
+
+    def test_only_misses_and_promotions_reach_access(self, monkeypatch):
+        if not ckernel.kernel_available():
+            pytest.skip("compiled kernel unavailable on this host")
+        from repro.caches.compression_cache import CompressionCache
+
+        names = _count_access(monkeypatch, CompressionCache)
+        config = SimConfig(cache_config="CPP", backend="fast")
+        result = Machine(config).run(random_program(3, n_ops=2000))
+        l1 = result.l1
+        assert l1.affiliated_hits > 0
+        assert names.count(l1.name) == l1.misses + l1.promotions
+
+    def test_slot_reclaiming_store_evicts_the_mirrored_affiliated_word(self):
+        """A store that makes a primary word incompressible drops the
+        affiliated word sharing its slot; a later load of that word must
+        miss rather than hit a stale mirror."""
+        if not ckernel.kernel_available():
+            pytest.skip("compiled kernel unavailable on this host")
+        from repro.workloads.base import ProgramBuilder
+
+        pb = ProgramBuilder("ckernel.reclaim")
+        # Two 64-byte L1 lines (an even line and its affiliated partner)
+        # of zeros: every word is compressible.
+        base = pb.static_array(32, align=128)
+        partner = base + 64
+
+        def drain_window():
+            # More independent ops than the RUU holds: the next memory op
+            # cannot dispatch before everything above it has committed.
+            for i in range(40):
+                pb.op(f"f{i % 4}")
+
+        pb.load(base, "r0")  # miss: partner's words ride in the fill
+        drain_window()
+        pb.store(base + 12, 0x5A5A_5A5A)  # incompressible: reclaims slot 3
+        drain_window()
+        pb.load(partner + 20, "r1")  # still in the affiliated place
+        drain_window()
+        pb.load(partner + 12, "r2")  # evicted by the store: must miss
+        program = pb.build(description="slot reclamation through the kernel")
+
+        fast = _full_dict(program, "fast")
+        assert fast == _full_dict(program, "reference")
+        assert fast["l1"]["dropped_affiliated_words"] == 1
+        assert fast["l1"]["affiliated_hits"] == 1
+        assert fast["metrics"]["loads_by_level"] == {
+            "memory": 1,
+            "l1-affiliated": 1,
+            "l2": 1,
+        }
