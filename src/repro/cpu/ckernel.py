@@ -604,42 +604,12 @@ def kernel_available() -> bool:
 # ---- invocation ---------------------------------------------------------------
 
 
-def _c_columns(trace, pre, hot) -> dict:
-    cols = pre.c_cols
-    if cols is None:
-        cols = pre.c_cols = {
-            "slot": np.ascontiguousarray(pre.slot, dtype=np.uint8),
-            "is_load": np.ascontiguousarray(trace.load_mask, dtype=np.uint8),
-            "fwd": np.ascontiguousarray(pre.fwd, dtype=np.int32),
-            "addr": np.ascontiguousarray(trace.addr, dtype=np.uint32),
-            "value": np.ascontiguousarray(trace.value, dtype=np.uint32),
-            "lat": np.ascontiguousarray(hot.latency, dtype=np.int32),
-            "dep1": np.ascontiguousarray(pre.dep1, dtype=np.int32),
-            "dep2": np.ascontiguousarray(pre.dep2, dtype=np.int32),
-            "is_mem": np.ascontiguousarray(trace.mem_mask, dtype=np.uint8),
-            "kind": (trace.load_mask + 2 * trace.store_mask).astype(np.uint8),
-            "cons_start": np.ascontiguousarray(pre.cons_start, dtype=np.int32),
-            "cons_flat": np.ascontiguousarray(pre.cons_flat, dtype=np.int32),
-        }
-        cols["n_stores"] = int(np.count_nonzero(trace.store_mask))
-    return cols
-
-
-def _c_bp(pre, n_entries: int, mispred, next_mp) -> tuple:
-    bp = pre.c_bp.get(n_entries)
-    if bp is None:
-        bp = pre.c_bp[n_entries] = (
-            np.asarray(mispred, dtype=np.uint8),
-            np.asarray(next_mp, dtype=np.int32),
-        )
-    return bp
-
-
-def run_compiled(
-    trace, pre, hot, cfg, l1, fu_limits, mispred, next_mp, hard_limit: int
-):
+def run_compiled(pre, branch, cfg, l1, fu_limits, hard_limit: int):
     """Run the compiled loop; returns the tally tuple or ``None``.
 
+    *pre* is the trace's :class:`~repro.isa.predecode.Predecoded` kernel
+    image and *branch* its :class:`~repro.isa.predecode.BranchEntry` for
+    the core's predictor size; the kernel reads their arrays in place.
     ``None`` means "kernel unavailable" — nothing was executed and the
     caller should run the Python loop. Deadlock/limit conditions raise
     :class:`TraceError` exactly like the Python loop; exceptions from the
@@ -649,9 +619,7 @@ def run_compiled(
     if fn is None or l1.line_words > 32:
         return None
 
-    n = len(trace)
-    cols = _c_columns(trace, pre, hot)
-    mp_arr, next_mp_arr = _c_bp(pre, cfg.bimod_entries, mispred, next_mp)
+    n = pre.n
 
     # A facade's MRU ways are those of the cache it wraps.
     cache = l1.cache if isinstance(l1, CacheFacade) else l1
@@ -664,11 +632,11 @@ def run_compiled(
     mru_pa = np.zeros(n_sets, dtype=np.uint32)
     mru_vcp = np.zeros(n_sets, dtype=np.uint32)
     mru_aa = np.zeros(n_sets, dtype=np.uint32)
-    journal = np.zeros(cols["n_stores"] + 1, dtype=np.uint64)
+    journal = np.zeros(pre.n_stores + 1, dtype=np.uint64)
     journal_n = np.zeros(1, dtype=np.int64)
     # (set, vcp, aa) triples of journaled stores that flipped a VCP bit;
     # a subset of the journal, so it never outgrows it.
-    flag_journal = np.zeros(3 * (cols["n_stores"] + 1), dtype=np.int64)
+    flag_journal = np.zeros(3 * (pre.n_stores + 1), dtype=np.int64)
     flag_journal_n = np.zeros(1, dtype=np.int64)
     exc: list[BaseException] = []
     load_word = l1.load_word
@@ -826,20 +794,20 @@ def run_compiled(
     store_cb = _STORE_CB(_on_store)
     fn(
         params.ctypes.data,
-        cols["slot"].ctypes.data,
-        cols["is_load"].ctypes.data,
-        cols["fwd"].ctypes.data,
-        cols["addr"].ctypes.data,
-        cols["value"].ctypes.data,
-        cols["lat"].ctypes.data,
-        cols["dep1"].ctypes.data,
-        cols["dep2"].ctypes.data,
-        cols["is_mem"].ctypes.data,
-        cols["kind"].ctypes.data,
-        mp_arr.ctypes.data,
-        next_mp_arr.ctypes.data,
-        cols["cons_start"].ctypes.data,
-        cols["cons_flat"].ctypes.data,
+        pre.slot.ctypes.data,
+        pre.is_load.ctypes.data,
+        pre.fwd.ctypes.data,
+        pre.addr.ctypes.data,
+        pre.value.ctypes.data,
+        pre.lat.ctypes.data,
+        pre.dep1.ctypes.data,
+        pre.dep2.ctypes.data,
+        pre.is_mem.ctypes.data,
+        pre.kind.ctypes.data,
+        branch.flags.ctypes.data,
+        branch.next_mp.ctypes.data,
+        pre.cons_start.ctypes.data,
+        pre.cons_flat.ctypes.data,
         fu_arr.ctypes.data,
         mru_line.ctypes.data,
         mru_pa.ctypes.data,

@@ -139,54 +139,11 @@ class FastCore:
             # traces are far past any paper-scale run anyway.
             return self._run_reference(trace)
 
-        hot = trace.hot()
-        t_ismem = hot.is_mem
-        t_addr = hot.addr
-        t_value = hot.value
         pre = get_predecoded(trace)
-        cons_start = pre.cons_start
-        cons_flat = pre.cons_flat
-        t_mispred, bp_branches, bp_mispredicts = pre.bimod_outcomes(
-            trace, cfg.bimod_entries
-        )
-        t_next_mp = _next_mispredicts(pre, cfg.bimod_entries, t_mispred)
-        # Per-stage row tuples: one list index + unpack per instruction
-        # per stage, instead of four or five column indexings. Cached on
-        # the pre-decode record across runs of the same trace.
-        iss_rows = pre.issue_rows
-        if iss_rows is None:
-            iss_rows = pre.issue_rows = list(
-                zip(
-                    pre.slot,
-                    trace.load_mask.tolist(),
-                    pre.fwd,
-                    hot.addr,
-                    hot.latency,
-                )
-            )
-        disp_rows = pre.disp_rows
-        if disp_rows is None:
-            disp_rows = pre.disp_rows = list(zip(pre.dep1, pre.dep2, t_ismem))
-        t_kind = pre.kind
-        if t_kind is None:
-            t_kind = pre.kind = (
-                (trace.load_mask + 2 * trace.store_mask).astype("uint8").tobytes()
-            )
-
-        # Per-instruction pipeline state (indices are trace positions;
-        # instructions pass through exactly once, so no recycling).
-        state = bytearray(n)  # 0 WAITING / 1 READY / 2 ISSUED / 3 DONE
-        pending = bytearray(n)
-        missf = bytearray(n)  # load miss in flight
-
-        completions: list[int] = []  # (cycle << _IDX_BITS) | idx
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        insort = _insort
-
+        branch = pre.branch(trace, cfg.bimod_entries)
+        bp_branches = branch.n_branches
+        bp_mispredicts = branch.n_mispredicts
         l1 = hier.l1
-        l1_access = l1.access
-        l1_hit_latency = l1.hit_latency
         # Word-ops: allocation-free load/store against the L1 with an
         # uncounted inline hit path (stats flushed once at the end). Every
         # L1 the hierarchy builders make implements the contract; only an
@@ -197,30 +154,17 @@ class FastCore:
             and not _inject.ACTIVE
             and not runtime_checks_enabled()
         )
-        l1_load_word = l1.load_word if use_word_ops else None
-        l1_store_word = l1.store_word if use_word_ops else None
-
         hard_limit = 2_000 * n + 1_000_000
         fu = FuPool(cfg.fu)
 
-        # The compiled kernel runs the identical schedule natively,
-        # crossing into Python only for the loads and stores its MRU
-        # mirror cannot serve; when it is unavailable the Python loop
-        # below produces the same bits.
+        # The compiled kernel runs the identical schedule natively on the
+        # pre-decode arrays, crossing into Python only for the loads and
+        # stores its MRU mirror cannot serve; when it is unavailable the
+        # Python loop below produces the same bits.
         if use_word_ops:
             from repro.cpu.ckernel import run_compiled
 
-            tallies = run_compiled(
-                trace,
-                pre,
-                hot,
-                cfg,
-                l1,
-                fu._limits,
-                t_mispred,
-                t_next_mp,
-                hard_limit,
-            )
+            tallies = run_compiled(pre, branch, cfg, l1, fu._limits, hard_limit)
             if tallies is not None:
                 (
                     now,
@@ -267,6 +211,45 @@ class FastCore:
                     inline_affiliated_hits,
                     dropped_affiliated_words,
                 )
+
+        # The Python loop reads native lists (no NumPy scalar boxing),
+        # built per run from the arrays: only this fallback pays for them.
+        t_ismem = pre.is_mem.tolist()
+        t_addr = pre.addr.tolist()
+        t_value = pre.value.tolist()
+        cons_start = pre.cons_start.tolist()
+        cons_flat = pre.cons_flat.tolist()
+        t_mispred = branch.flags.tolist()
+        t_next_mp = branch.next_mp.tolist()
+        t_kind = pre.kind.tobytes()
+        # Per-stage row tuples: one list index + unpack per instruction
+        # per stage, instead of four or five column indexings.
+        iss_rows = list(
+            zip(
+                pre.slot.tolist(),
+                pre.is_load.tolist(),
+                pre.fwd.tolist(),
+                t_addr,
+                pre.lat.tolist(),
+            )
+        )
+        disp_rows = list(zip(pre.dep1.tolist(), pre.dep2.tolist(), t_ismem))
+
+        # Per-instruction pipeline state (indices are trace positions;
+        # instructions pass through exactly once, so no recycling).
+        state = bytearray(n)  # 0 WAITING / 1 READY / 2 ISSUED / 3 DONE
+        pending = bytearray(n)
+        missf = bytearray(n)  # load miss in flight
+
+        completions: list[int] = []  # (cycle << _IDX_BITS) | idx
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        insort = _insort
+
+        l1_access = l1.access
+        l1_hit_latency = l1.hit_latency
+        l1_load_word = l1.load_word if use_word_ops else None
+        l1_store_word = l1.store_word if use_word_ops else None
 
         #: READY trace indices in ascending (program) order: dispatch
         #: appends (indices grow monotonically), writeback wake-ups
@@ -631,22 +614,3 @@ class FastCore:
             branch_mispredicts=predictor.mispredicts,
         )
 
-
-def _next_mispredicts(pre, n_entries: int, flags: list[bool]) -> list[int]:
-    """``next_mp[i]``: smallest ``j >= i`` with ``flags[j]`` (or ``n``).
-
-    Cached on the pre-decode record per predictor geometry; lets fetch
-    advance in blocks instead of testing every instruction's flag.
-    """
-    cache = pre.next_mp
-    out = cache.get(n_entries)
-    if out is None:
-        n = len(flags)
-        out = [0] * n
-        nxt = n
-        for i in range(n - 1, -1, -1):
-            if flags[i]:
-                nxt = i
-            out[i] = nxt
-        cache[n_entries] = out
-    return out

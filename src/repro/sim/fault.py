@@ -485,6 +485,7 @@ def run_supervised(
     checkpoint: Checkpoint | None = None,
     progress: bool = False,
     phase_name: str = "supervised_matrix",
+    prepare: Callable | None = None,
 ) -> SupervisedOutcome:
     """Run *tasks* through *worker*, one isolated process per attempt.
 
@@ -496,6 +497,11 @@ def run_supervised(
     function only raises for ``fail_fast`` (the failure's typed
     exception) and for ``KeyboardInterrupt`` (after terminating all
     children; the checkpoint survives).
+
+    *prepare*, when given, is called in this process with a task just
+    before the first attempt of each workload is forked, so every
+    attempt inherits what it builds. Its time is not part of any
+    attempt's timeout budget; with telemetry on it is a ``prepare`` span.
     """
     import multiprocessing as mp
 
@@ -541,6 +547,23 @@ def run_supervised(
         if telemetry_store is not None
         else None
     )
+
+    prepared: set[str] = set()
+
+    def _prepare(cell: _Cell) -> None:
+        workload, _config = _key_identity(cell.key)
+        if prepare is None or workload in prepared:
+            return
+        prepared.add(workload)
+        prepare_span = (
+            _span.start_span("prepare", parent=run_span, workload=workload)
+            if telemetry_store is not None
+            else None
+        )
+        try:
+            prepare(cell.task)
+        finally:
+            _span.finish_span(prepare_span)
 
     def _launch(cell: _Cell, now: float) -> None:
         slot = free_slots.pop(0) if free_slots else 0
@@ -679,7 +702,10 @@ def run_supervised(
                     )
                     if idx is None:
                         break
-                    _launch(pending.pop(idx), now)
+                    cell = pending.pop(idx)
+                    _prepare(cell)
+                    now = time.monotonic()
+                    _launch(cell, now)
 
                 progressed = False
                 still: list[_Running] = []
@@ -883,18 +909,52 @@ def _matrix_task_key(task: tuple) -> tuple:
     return (base[0], base[1], base[2], base[3], miss_scale)
 
 
+def _matrix_config(config_name: str):
+    """The :class:`SimConfig` a matrix task's config name stands for."""
+    from repro.sim.config import SIM_CONFIGS, SimConfig
+
+    return SIM_CONFIGS.get(config_name.upper(), None) or SimConfig(
+        cache_config=config_name
+    )
+
+
 def _matrix_cell_worker(task: tuple) -> SimResult:
     """Child entry: simulate one (workload, config, miss_scale) cell."""
-    from repro.sim.config import SIM_CONFIGS, SimConfig
     from repro.sim.runner import run_workload
 
     workload, config_name, miss_scale, seed, scale = task
-    config = SIM_CONFIGS.get(config_name.upper(), None) or SimConfig(
-        cache_config=config_name
-    )
+    config = _matrix_config(config_name)
     if miss_scale != 1.0:
         config = config.with_miss_scale(miss_scale)
     return run_workload(workload, config, seed=seed, scale=scale)
+
+
+def _matrix_cell_prepare(task: tuple) -> None:
+    """Supervisor-side set-up of one matrix task's program.
+
+    Generates (or loads) the program and, when the cell will run on the
+    compiled kernel, imports the fast core and builds the trace's kernel
+    image (:mod:`repro.isa.predecode`), so every forked attempt of the
+    program inherits both instead of rebuilding them. Errors are
+    swallowed: a program that cannot be set up fails inside its
+    supervised attempt, where it is classified and retried.
+    """
+    from repro.cpu import ckernel
+    from repro.sim.backend import resolve_backend
+    from repro.sim.runner import get_program
+
+    workload, config_name, _miss_scale, seed, scale = task
+    try:
+        program = get_program(workload, seed=seed, scale=scale)
+        config = _matrix_config(config_name)
+        if resolve_backend(config.backend) == "fast" and ckernel.kernel_available():
+            import repro.cpu.fastcore  # noqa: F401 - inherited by the fork
+            from repro.isa.predecode import get_predecoded
+
+            trace = program.trace
+            get_predecoded(trace).branch(trace, config.core.bimod_entries)
+    except Exception:  # noqa: BLE001 - the supervised cell reports it
+        pass
 
 
 #: Public names for the matrix task plumbing: the queue-draining service
@@ -927,11 +987,14 @@ def run_matrix_supervised(
     set, completed cells persist across interrupts; ``resume=False``
     discards any existing checkpoint and starts fresh.
 
-    *prewarm_programs* generates each workload trace once in the parent
-    so forked workers inherit it instead of regenerating it per config.
-    Leave it off when running with a timeout: parent-side generation is
-    not covered by the per-cell budget, and a cell whose trace fails to
-    generate must fail inside its supervised attempt to be classified.
+    *prewarm_programs* prepares each workload in the parent just before
+    its first attempt is forked — the program and, on the compiled
+    kernel, the trace's kernel image (see :func:`_matrix_cell_prepare`)
+    — so every forked attempt inherits them instead of rebuilding them
+    per config. Leave it off when running with a timeout: parent-side
+    set-up is not covered by the per-cell budget. A program whose set-up
+    fails still fails inside its supervised attempt, where it is
+    classified.
     """
     if not workloads or not configs:
         raise ExperimentError("workloads and configs must be non-empty")
@@ -944,14 +1007,6 @@ def run_matrix_supervised(
         for config in configs
         for miss_scale in miss_scales
     ]
-    if prewarm_programs:
-        from repro.sim.runner import get_program
-
-        for workload in workloads:
-            try:
-                get_program(workload, seed=seed, scale=scale)
-            except Exception:  # noqa: BLE001 - the supervised cell reports it
-                pass
     return run_supervised(
         tasks,
         _matrix_cell_worker,
@@ -960,4 +1015,5 @@ def run_matrix_supervised(
         max_workers=max_workers,
         checkpoint=checkpoint,
         progress=progress,
+        prepare=_matrix_cell_prepare if prewarm_programs else None,
     )

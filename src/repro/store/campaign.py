@@ -191,15 +191,6 @@ def run_matrix_store(
             total=len(tasks),
         )
 
-    if prewarm_programs:
-        from repro.sim.runner import get_program
-
-        for workload in workloads:
-            try:
-                get_program(workload, seed=seed, scale=scale)
-            except Exception:  # noqa: BLE001 - the supervised cell reports it
-                pass
-
     checkpoint = StoreCheckpoint(store, worker=worker)
     batch_size = max(1, max_workers or 1)
     while True:
@@ -235,6 +226,7 @@ def run_matrix_store(
                 checkpoint=checkpoint,
                 progress=progress,
                 phase_name="store_campaign",
+                prepare=_fault._matrix_cell_prepare if prewarm_programs else None,
             )
             keeper.stop()
             failures = _settle_batch(queue, jobs, batch, worker)

@@ -8,6 +8,7 @@ bit-identical results.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cpu import ckernel
@@ -192,3 +193,56 @@ class TestCPPOnTheKernel:
             "l1-affiliated": 1,
             "l2": 1,
         }
+
+
+def _numpy_only(pre) -> bool:
+    """Every value the kernel image holds is an array, an int, or a
+    branch entry of arrays and ints: no per-instruction Python object."""
+    from repro.isa.predecode import BranchEntry, Predecoded
+
+    def plain(value):
+        return isinstance(value, (np.ndarray, int))
+
+    for name in Predecoded.__slots__:
+        value = getattr(pre, name)
+        if name == "branches":
+            if not all(
+                isinstance(e, BranchEntry) and all(plain(v) for v in e)
+                for e in value.values()
+            ):
+                return False
+        elif not plain(value):
+            return False
+    return True
+
+
+class TestKernelImage:
+    """A kernel-backed run reads only the NumPy kernel image."""
+
+    @pytest.mark.parametrize("cache_config", ["BC", "BCP", "CPP"])
+    def test_kernel_run_builds_no_list_views(self, monkeypatch, cache_config):
+        if not ckernel.kernel_available():
+            pytest.skip("compiled kernel unavailable on this host")
+        from repro.workloads.registry import generate
+
+        def run(backend):
+            program = generate("olden.mst", seed=1, scale=0.1)
+            config = SimConfig(cache_config=cache_config, backend=backend)
+            result = Machine(config).run(program)
+            return program.trace, json.loads(json.dumps(result_to_full_dict(result)))
+
+        trace, with_kernel = run("fast")
+        assert trace._hot is None
+        pre = trace._predecoded
+        assert pre is not None and _numpy_only(pre)
+        assert list(pre.branches) == [SimConfig().core.bimod_entries]
+
+        _trace, reference = run("reference")
+        assert with_kernel == reference
+
+        _reset_kernel_state(monkeypatch)
+        monkeypatch.setenv("REPRO_DISABLE_CKERNEL", "1")
+        trace, without_kernel = run("fast")
+        # The Python loop's list views are per-run locals.
+        assert trace._hot is None and _numpy_only(trace._predecoded)
+        assert without_kernel == with_kernel

@@ -257,6 +257,46 @@ class TestMatrixSupervised:
             ), (workload, config)
         clear_caches()
 
+    @pytest.mark.parametrize("prewarm", [True, False])
+    def test_prewarm_predecodes_each_program_once_in_the_parent(
+        self, tmp_path, monkeypatch, prewarm
+    ):
+        from repro.cpu import ckernel
+        from repro.isa import predecode
+        from repro.sim.results_io import result_to_full_dict
+        from repro.sim.runner import run_workload
+
+        if not ckernel.kernel_available():
+            pytest.skip("compiled kernel unavailable on this host")
+        monkeypatch.setenv("REPRO_BACKEND", "fast")
+        log = tmp_path / "predecode.pids"
+        compute = predecode._compute
+
+        def logged_compute(trace):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return compute(trace)
+
+        monkeypatch.setattr(predecode, "_compute", logged_compute)
+        clear_caches()
+        workloads = ["olden.mst", "olden.treeadd"]
+        configs = ["BC", "BCC", "HAC", "BCP", "CPP"]
+        out = fault.run_matrix_supervised(
+            workloads, configs, scale=SCALE, policy=FAST, max_workers=2,
+            prewarm_programs=prewarm,
+        )
+        assert out.ok and len(out.results) == 10
+        pids = log.read_text().split()
+        if prewarm:
+            assert pids == [str(os.getpid())] * 2
+        else:
+            assert len(pids) == 10 and str(os.getpid()) not in pids
+        for key, result in out.results.items():
+            workload, seed, scale, config, _miss = key
+            expected = run_workload(workload, config, seed=seed, scale=scale)
+            assert result_to_full_dict(result) == result_to_full_dict(expected)
+        clear_caches()
+
     def test_keys_are_canonical_five_tuples(self):
         out = fault.run_matrix_supervised(
             ["olden.mst"], ["BC"], scale=SCALE, policy=FAST

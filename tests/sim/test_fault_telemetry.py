@@ -207,3 +207,59 @@ class TestDisarmedPath:
         assert out.ok
         assert out.telemetry is None
         assert not any(tmp_path.iterdir())
+
+
+_PREPARED: list = []
+
+
+def _record_prepare(task):
+    _PREPARED.append(task["name"])
+
+
+def _workload_key(task):
+    return (task["workload"], task["name"])
+
+
+class TestPrepareSpan:
+    def test_one_prepare_span_per_workload_under_the_run(self, tmp_path):
+        telemetry.configure(tmp_path)
+        _PREPARED.clear()
+        tasks = [
+            {"workload": w, "name": f"{w}-{c}", "n": 1, "delay": 0.0}
+            for w in ("w1", "w2")
+            for c in ("BC", "CPP", "HAC")
+        ]
+        out = run_supervised(
+            tasks,
+            _metric_worker,
+            key_of=_workload_key,
+            policy=FAST,
+            max_workers=2,
+            prepare=_record_prepare,
+        )
+        assert out.ok
+        # Called in this process, before the first attempt of each workload.
+        assert _PREPARED == ["w1-BC", "w2-BC"]
+        spans = _finished_parent_spans(out.telemetry)
+        (run_span,) = [s for s in spans if s.name == "supervised_matrix"]
+        prepares = [s for s in spans if s.name == "prepare"]
+        assert sorted(s.attrs["workload"] for s in prepares) == ["w1", "w2"]
+        assert all(s.parent_id == run_span.span_id for s in prepares)
+        first_attempt = {}
+        for s in spans:
+            if s.name == "attempt":
+                w = s.attrs["workload"]
+                first_attempt[w] = min(first_attempt.get(w, s.start), s.start)
+        for s in prepares:
+            assert s.end <= first_attempt[s.attrs["workload"]]
+
+    def test_no_prepare_no_span(self, tmp_path):
+        telemetry.configure(tmp_path)
+        out = run_supervised(
+            [{"workload": "w1", "name": "a", "n": 1, "delay": 0.0}],
+            _metric_worker,
+            key_of=_workload_key,
+            policy=FAST,
+        )
+        spans = _finished_parent_spans(out.telemetry)
+        assert not [s for s in spans if s.name == "prepare"]
