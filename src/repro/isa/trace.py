@@ -237,6 +237,10 @@ class Trace:
         stores = self.store_mask
         if np.any(self.dest[stores] != NO_REG):
             raise TraceError("store instruction has a destination register")
+        for col_name in ("dest", "src1", "src2"):
+            col = getattr(self, col_name)
+            if len(col) and (col.min() < NO_REG or col.max() > _MAX_REG):
+                raise TraceError(f"register id out of range in column {col_name!r}")
 
 
 class TraceBuilder:

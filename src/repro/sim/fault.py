@@ -77,6 +77,7 @@ __all__ = [
     "LEDGER",
     "Checkpoint",
     "SupervisedOutcome",
+    "TaskSource",
     "run_supervised",
     "run_matrix_supervised",
     "matrix_task_key",
@@ -113,7 +114,6 @@ class FaultPolicy:
     backoff_max: float = 10.0
     jitter: float = 0.1
     fail_fast: bool = False
-    poll_interval: float = 0.02  #: supervisor polling granularity
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
@@ -126,8 +126,6 @@ class FaultPolicy:
             raise ConfigurationError("backoff_factor must be >= 1")
         if not 0.0 <= self.jitter <= 1.0:
             raise ConfigurationError("jitter must be in [0, 1]")
-        if self.poll_interval <= 0:
-            raise ConfigurationError("poll_interval must be positive")
 
     def backoff_delay(self, key: tuple, attempt: int) -> float:
         """Delay before the retry following failed attempt *attempt*.
@@ -378,6 +376,41 @@ class SupervisedOutcome:
 # The supervisor
 # --------------------------------------------------------------------------
 
+#: While the live dashboard is shown, the supervisor wakes at least this
+#: often (seconds) so running-cell timers advance. Otherwise it sleeps
+#: until an attempt ends, a deadline passes or a retry falls due.
+_DASHBOARD_REFRESH = 0.25
+
+
+class TaskSource:
+    """Tasks handed to :func:`run_supervised` one at a time, on demand.
+
+    The supervisor asks for a task whenever a worker slot is free and no
+    retry is due, so a task is claimed only when it can start at once.
+    After :meth:`claim` returns None it asks again once an attempt ends
+    or :attr:`retry_interval` seconds have passed; when nothing is
+    running or waiting to retry, :meth:`exhausted` decides whether the
+    run ends.
+    """
+
+    #: Seconds before :meth:`claim` is asked again after it returned None.
+    retry_interval: float = 0.5
+    #: How many tasks the source expects to hand out (progress totals).
+    expected: int = 0
+
+    def claim(self):
+        """The next task, or None when none is available right now."""
+        raise NotImplementedError
+
+    def exhausted(self) -> bool:
+        """True when :meth:`claim` will never return a task again."""
+        raise NotImplementedError
+
+    def settle(self, key: tuple, failure: CellFailure | None = None) -> None:
+        """Cell *key* ended: its result is committed to the checkpoint
+        (when there is one), or it failed permanently with *failure*."""
+        raise NotImplementedError
+
 
 def _child_entry(worker, task, conn, telem=None) -> None:
     """Child-process shell around one cell attempt.
@@ -486,6 +519,7 @@ def run_supervised(
     progress: bool = False,
     phase_name: str = "supervised_matrix",
     prepare: Callable | None = None,
+    source: TaskSource | None = None,
 ) -> SupervisedOutcome:
     """Run *tasks* through *worker*, one isolated process per attempt.
 
@@ -498,12 +532,19 @@ def run_supervised(
     exception) and for ``KeyboardInterrupt`` (after terminating all
     children; the checkpoint survives).
 
+    With a *source* (:class:`TaskSource`), further tasks are claimed from
+    it whenever a worker slot is free, and every cell's end is reported
+    to its :meth:`~TaskSource.settle`. The supervisor never polls: it
+    waits on the children's result pipes and exit sentinels, waking
+    early only for the next attempt deadline, retry or source re-claim.
+
     *prepare*, when given, is called in this process with a task just
     before the first attempt of each workload is forked, so every
     attempt inherits what it builds. Its time is not part of any
     attempt's timeout budget; with telemetry on it is a ``prepare`` span.
     """
     import multiprocessing as mp
+    from multiprocessing.connection import wait as wait_ready
 
     policy = policy or FaultPolicy()
     if max_workers is None:
@@ -524,7 +565,8 @@ def run_supervised(
             REGISTRY.inc("fault.cells_reused")
         else:
             pending.append(_Cell(task=task, key=key))
-    total = len(outcome.results) + len(pending)
+    expected = source.expected if source is not None else 0
+    total = len(outcome.results) + len(pending) + expected
     view = _live.maybe_dashboard(total, max_workers) if progress else None
     if outcome.reused:
         if view is not None:
@@ -543,10 +585,16 @@ def run_supervised(
     free_slots = list(range(max_workers))
     telemetry_store = _telemetry.store()
     run_span = (
-        _span.start_span(phase_name, cells=len(pending), reused=outcome.reused)
+        _span.start_span(
+            phase_name, cells=len(pending) + expected, reused=outcome.reused
+        )
         if telemetry_store is not None
         else None
     )
+    #: Monotonic time before which the source is not asked again, and
+    #: whether it is known to be exhausted.
+    claim_after = 0.0
+    source_done = source is None
 
     prepared: set[str] = set()
 
@@ -618,10 +666,77 @@ def run_supervised(
         if view is not None:
             view.started(cell.key, slot, f"{workload}/{config}")
 
+    def _cell_done(key: tuple, result) -> None:
+        nonlocal done
+        outcome.results[key] = result
+        done += 1
+        if source is not None:
+            source.settle(key)
+        if view is not None:
+            view.finished(key, ok=True)
+        elif progress:
+            workload, config = _key_identity(key)
+            _progress.report(
+                f"completed {workload} on {config} ({done}/{total})",
+                event="cell_done",
+                workload=workload,
+                config=config,
+                done=done,
+                total=total,
+            )
+
+    def _fill_slots() -> None:
+        """Start a ready retry, or a freshly claimed task, on every free
+        slot; ask an idle source again only after its retry interval."""
+        nonlocal claim_after, source_done
+        while len(running) < max_workers:
+            now = time.monotonic()
+            idx = next(
+                (i for i, c in enumerate(pending) if c.ready_at <= now), None
+            )
+            if idx is not None:
+                cell = pending.pop(idx)
+            elif source_done or now < claim_after:
+                return
+            else:
+                task = source.claim()
+                if task is None:
+                    if not running and not pending and source.exhausted():
+                        source_done = True
+                    else:
+                        claim_after = now + source.retry_interval
+                    return
+                cell = _Cell(task=task, key=tuple(key_of(task)))
+                if checkpoint is not None and cell.key in checkpoint:
+                    # Committed by a worker that died before settling it.
+                    outcome.reused += 1
+                    REGISTRY.inc("fault.cells_reused")
+                    _cell_done(cell.key, checkpoint.get(cell.key))
+                    continue
+            _prepare(cell)
+            _launch(cell, time.monotonic())
+
+    def _wait_for_events() -> set:
+        """Block until a child reports or exits, or the next deadline,
+        retry, source re-claim or dashboard refresh is due."""
+        now = time.monotonic()
+        wake = [r.deadline for r in running if r.deadline is not None]
+        if len(running) < max_workers:
+            wake.extend(c.ready_at for c in pending)
+            if not source_done:
+                wake.append(claim_after)
+        if view is not None:
+            wake.append(now + _DASHBOARD_REFRESH)
+        timeout = max(0.0, min(wake) - now) if wake else None
+        handles = [r.conn for r in running] + [r.proc.sentinel for r in running]
+        return set(wait_ready(handles, timeout))
+
     def _attempt_settled(run: _Running, kind: str) -> None:
         """Bookkeeping common to every attempt end: free the worker slot,
         close the attempt span, ingest the child's spool (a child that
         died before spooling becomes a partial-telemetry marker)."""
+        nonlocal claim_after
+        claim_after = 0.0  # a slot is free: the source may have work now
         free_slots.append(run.slot)
         free_slots.sort()
         _span.finish_span(
@@ -675,6 +790,8 @@ def run_supervised(
             )
             outcome.failures.append(failure)
             LEDGER.record(failure)
+            if source is not None:
+                source.settle(cell.key, failure)
             if view is not None:
                 view.finished(cell.key, ok=False)
             elif progress:
@@ -690,106 +807,63 @@ def run_supervised(
             if policy.fail_fast:
                 raise failure.to_exception()
 
+    def _reap(run: _Running) -> None:
+        """Settle an attempt whose child reported or exited."""
+        report = None  # stays None when the child died before reporting
+        if run.conn.poll():
+            try:
+                report = run.conn.recv()
+            except (EOFError, OSError):
+                pass  # the pipe hit EOF: os._exit, segfault, OOM kill
+        run.proc.join()
+        run.conn.close()
+        if report is None:
+            exitcode = run.proc.exitcode
+            _attempt_failed(
+                run,
+                KIND_CRASH,
+                f"worker exited with code {exitcode} before reporting",
+                exitcode=exitcode,
+            )
+            return
+        REGISTRY.histogram("fault.attempt_seconds", bounds=SECONDS_BUCKETS).observe(
+            time.monotonic() - run.started
+        )
+        status, payload = report
+        if status == "ok":
+            _attempt_settled(run, "ok")
+            REGISTRY.inc("fault.cells_ok")
+            if checkpoint is not None:
+                checkpoint.add(run.cell.key, payload)
+            _cell_done(run.cell.key, payload)
+        else:
+            exc_type, is_repro, message, _tb = payload
+            kind = KIND_ERROR if is_repro else KIND_UNEXPECTED
+            _attempt_failed(run, kind, message, exc_type)
+
     try:
         with _phases.phase(phase_name):
-            while pending or running:
+            while True:
+                _fill_slots()
+                if not pending and not running and source_done:
+                    break
+                ready = _wait_for_events()
                 now = time.monotonic()
-                # Launch every ready cell we have capacity for.
-                while len(running) < max_workers:
-                    idx = next(
-                        (i for i, c in enumerate(pending) if c.ready_at <= now),
-                        None,
-                    )
-                    if idx is None:
-                        break
-                    cell = pending.pop(idx)
-                    _prepare(cell)
-                    now = time.monotonic()
-                    _launch(cell, now)
-
-                progressed = False
-                still: list[_Running] = []
-                for run in running:
-                    has_msg = run.conn.poll()
-                    alive = run.proc.is_alive()
-                    if not has_msg and not alive:
-                        run.proc.join()
-                        has_msg = run.conn.poll()  # drain a late message
-                    if has_msg:
-                        try:
-                            status, payload = run.conn.recv()
-                        except (EOFError, OSError):
-                            # The pipe hit EOF without a message: the
-                            # worker died before reporting (os._exit,
-                            # segfault, OOM kill) — a hard crash.
-                            run.proc.join()
-                            run.conn.close()
-                            progressed = True
-                            exitcode = run.proc.exitcode
-                            _attempt_failed(
-                                run,
-                                KIND_CRASH,
-                                f"worker exited with code {exitcode} "
-                                "before reporting",
-                                exitcode=exitcode,
-                            )
-                            continue
-                        run.proc.join()
-                        run.conn.close()
-                        progressed = True
-                        REGISTRY.histogram(
-                            "fault.attempt_seconds", bounds=SECONDS_BUCKETS
-                        ).observe(time.monotonic() - run.started)
-                        if status == "ok":
-                            _attempt_settled(run, "ok")
-                            outcome.results[run.cell.key] = payload
-                            done += 1
-                            REGISTRY.inc("fault.cells_ok")
-                            if checkpoint is not None:
-                                checkpoint.add(run.cell.key, payload)
-                            if view is not None:
-                                view.finished(run.cell.key, ok=True)
-                            elif progress:
-                                workload, config = _key_identity(run.cell.key)
-                                _progress.report(
-                                    f"completed {workload} on {config} "
-                                    f"({done}/{total})",
-                                    event="cell_done",
-                                    workload=workload,
-                                    config=config,
-                                    done=done,
-                                    total=total,
-                                )
-                        else:
-                            exc_type, is_repro, message, _tb = payload
-                            kind = KIND_ERROR if is_repro else KIND_UNEXPECTED
-                            _attempt_failed(run, kind, message, exc_type)
+                for run in list(running):
+                    if run.conn in ready or run.proc.sentinel in ready:
+                        running.remove(run)
+                        _reap(run)
                     elif run.deadline is not None and now >= run.deadline:
+                        running.remove(run)
                         _terminate(run.proc)
                         run.conn.close()
-                        progressed = True
                         _attempt_failed(
                             run,
                             KIND_TIMEOUT,
                             f"exceeded per-attempt timeout of {policy.timeout:g}s",
                         )
-                    elif not alive:
-                        exitcode = run.proc.exitcode
-                        run.conn.close()
-                        progressed = True
-                        _attempt_failed(
-                            run,
-                            KIND_CRASH,
-                            f"worker exited with code {exitcode} before reporting",
-                            exitcode=exitcode,
-                        )
-                    else:
-                        still.append(run)
-                running = still
                 if view is not None:
                     view.tick()
-                if not progressed and (running or pending):
-                    time.sleep(policy.poll_interval)
     finally:
         for run in running:
             _terminate(run.proc)

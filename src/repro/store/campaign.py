@@ -17,16 +17,17 @@ queue instead of a private JSONL file, which buys three things:
   journal *before* the job's done marker, so the worst a crash costs is
   one recompute (an idempotent store put), never a torn record.
 
-The drain loop claims up to ``max_workers`` jobs at a time, runs them as
-one supervised batch (fork isolation, per-attempt timeout, bounded
-retries with the PR 2 backoff policy), heartbeats every held lease from
-a keeper thread while the batch runs, then completes or fails each job.
+The drain is one continuous supervised run (fork isolation, per-attempt
+timeout, bounded retries with backoff): a job is claimed the moment a
+worker slot is free, and each cell settles the moment it ends — its job
+is completed after the result is committed, or marked failed — so a
+fast cell never waits for a slow one. One keeper thread heartbeats every
+lease held at the time, and each program is prepared once per drain.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 from repro.errors import LeaseError
 from repro.obs import progress as _progress
@@ -51,37 +52,94 @@ def campaign_name(seed: int, scale: float) -> str:
 
 
 class _LeaseKeeper(threading.Thread):
-    """Renews the leases of a claimed batch while its cells simulate.
+    """Renews every lease the drain holds while its cells simulate.
 
     Runs at a third of the lease TTL, so only a dead (or wedged-longer-
-    than-TTL) worker ever expires. A lease lost anyway (reclaimed after
-    a stall) is dropped from the renewal set and remembered in ``lost``.
+    than-TTL) worker ever expires. The held set changes as jobs are
+    claimed and settled: :meth:`drop` takes a job out under the same lock
+    a renewal holds, so a settled job's lease is never rewritten. A
+    lease lost anyway (reclaimed after a stall) is remembered in
+    ``lost`` and no longer renewed.
     """
 
-    def __init__(
-        self, queue: CampaignQueue, jobs: list[Job], worker: str, ttl: float
-    ) -> None:
+    def __init__(self, queue: CampaignQueue, worker: str, ttl: float) -> None:
         super().__init__(daemon=True, name="store-lease-keeper")
         self._queue = queue
-        self._jobs = list(jobs)
         self._worker = worker
         self._interval = max(0.05, ttl / 3.0)
         self._halt = threading.Event()
+        self._lock = threading.Lock()
+        self.held: dict[tuple, Job] = {}
         self.lost: set[str] = set()
+
+    def hold(self, job: Job) -> None:
+        """Start renewing *job*'s lease."""
+        self.held[job.key] = job
+
+    def drop(self, key: tuple) -> Job | None:
+        """Stop renewing the lease of cell *key*; returns its job."""
+        with self._lock:
+            return self.held.pop(key, None)
 
     def run(self) -> None:
         while not self._halt.wait(self._interval):
-            for job in self._jobs:
-                if job.digest in self.lost:
-                    continue
-                try:
-                    self._queue.heartbeat(job, worker=self._worker)
-                except LeaseError:
-                    self.lost.add(job.digest)
+            for key in list(self.held):
+                with self._lock:
+                    job = self.held.get(key)
+                    if job is None or job.digest in self.lost:
+                        continue
+                    try:
+                        self._queue.heartbeat(job, worker=self._worker)
+                    except LeaseError:
+                        self.lost.add(job.digest)
 
     def stop(self) -> None:
         self._halt.set()
         self.join(timeout=5.0)
+
+
+class _QueueSource(_fault.TaskSource):
+    """The campaign queue as a supervised task source.
+
+    Each claim runs under :func:`deferred_interrupts` together with
+    handing the lease to the keeper, so a signal cannot land between the
+    lease file and the guard that gives it back. A settled cell's job is
+    completed (the supervisor commits the result to the store first) or
+    marked failed.
+    """
+
+    def __init__(
+        self, queue: CampaignQueue, keeper: _LeaseKeeper, worker: str, *,
+        expected: int, retry_interval: float,
+    ) -> None:
+        self._queue = queue
+        self._keeper = keeper
+        self._worker = worker
+        self.expected = expected
+        self.retry_interval = retry_interval
+
+    def claim(self):
+        with deferred_interrupts():
+            job = self._queue.claim(self._worker)
+            if job is not None:
+                self._keeper.hold(job)
+        if job is None:
+            return None
+        fault_point("campaign.after_claim")
+        return job.task
+
+    def exhausted(self) -> bool:
+        # Other workers may hold live leases: until their completions (or
+        # their leases' expiry, which claim() then reclaims) the queue is
+        # not drained and the supervisor asks again.
+        return self._queue.drained()
+
+    def settle(self, key, failure=None) -> None:
+        job = self._keeper.drop(key)
+        if failure is None:
+            self._queue.complete(job, worker=self._worker)
+        else:
+            self._queue.fail(job, kind=failure.kind, message=failure.message)
 
 
 def _matrix_tasks(workloads, configs, miss_scales, seed, scale) -> dict:
@@ -93,28 +151,6 @@ def _matrix_tasks(workloads, configs, miss_scales, seed, scale) -> dict:
                 task = (workload, config, miss_scale, seed, scale)
                 tasks[_fault._matrix_task_key(task)] = task
     return tasks
-
-
-def _settle_batch(
-    queue: CampaignQueue,
-    jobs: list[Job],
-    outcome,
-    worker: str,
-) -> list:
-    """Complete/fail each claimed job from its supervised outcome."""
-    failures = []
-    by_key = {f.key: f for f in outcome.failures}
-    for job in jobs:
-        if job.key in outcome.results:
-            queue.complete(job, worker=worker)
-        elif job.key in by_key:
-            failure = by_key[job.key]
-            queue.fail(job, kind=failure.kind, message=failure.message)
-            failures.append(failure)
-        else:
-            # Interrupted before this cell ran: give the claim back.
-            queue.release(job)
-    return failures
 
 
 def collect_results(
@@ -192,59 +228,44 @@ def run_matrix_store(
         )
 
     checkpoint = StoreCheckpoint(store, worker=worker)
-    batch_size = max(1, max_workers or 1)
-    while True:
-        jobs: list[Job] = []
-        keeper = None
-        # One guard from the first claim to the last settle: whatever
-        # interrupts this worker, every lease it holds goes back.
-        try:
-            while len(jobs) < batch_size:
-                with deferred_interrupts():
-                    job = queue.claim(worker)
-                    if job is not None:
-                        jobs.append(job)
-                if job is None:
-                    break
-                fault_point("campaign.after_claim")
-            if not jobs:
-                if queue.drained():
-                    break
-                # Other workers hold live leases: wait for their
-                # completions (or their leases' expiry, which claim()
-                # then reclaims).
-                time.sleep(wait_poll)
-                continue
-            keeper = _LeaseKeeper(queue, jobs, worker, lease_ttl)
-            keeper.start()
-            batch = _fault.run_supervised(
-                [job.task for job in jobs],
-                _fault._matrix_cell_worker,
-                key_of=_fault._matrix_task_key,
-                policy=policy,
-                max_workers=max_workers,
-                checkpoint=checkpoint,
-                progress=progress,
-                phase_name="store_campaign",
-                prepare=_fault._matrix_cell_prepare if prewarm_programs else None,
-            )
-            keeper.stop()
-            failures = _settle_batch(queue, jobs, batch, worker)
-        except BaseException:
-            if keeper is not None:
-                keeper.stop()
-            # Interrupt/fail-fast: keep what the store already has, give
-            # the rest back so other workers (or a rerun) pick them up.
-            for job in jobs:
-                if store.contains(job.key):
-                    queue.complete(job, worker=worker)
-                else:
-                    queue.release(job)
-            raise
-        outcome.results.update(batch.results)
-        for key, n in batch.attempts.items():
-            outcome.attempts[key] = outcome.attempts.get(key, 0) + n
-        outcome.failures.extend(failures)
+    keeper = _LeaseKeeper(queue, worker, lease_ttl)
+    source = _QueueSource(
+        queue,
+        keeper,
+        worker,
+        expected=len(tasks) - outcome.reused,
+        retry_interval=wait_poll,
+    )
+    keeper.start()
+    # One guard from the first claim to the last settle: whatever
+    # interrupts this worker, every lease it still holds goes back.
+    try:
+        drain = _fault.run_supervised(
+            [],
+            _fault._matrix_cell_worker,
+            key_of=_fault._matrix_task_key,
+            policy=policy,
+            max_workers=max(1, max_workers or 1),
+            checkpoint=checkpoint,
+            progress=progress,
+            phase_name="store_campaign",
+            prepare=_fault._matrix_cell_prepare if prewarm_programs else None,
+            source=source,
+        )
+    except BaseException:
+        keeper.stop()
+        # Interrupt/fail-fast: keep what the store already has, give
+        # the rest back so other workers (or a rerun) pick them up.
+        for job in keeper.held.values():
+            if store.contains(job.key):
+                queue.complete(job, worker=worker)
+            else:
+                queue.release(job)
+        raise
+    keeper.stop()
+    outcome.results.update(drain.results)
+    outcome.attempts.update(drain.attempts)
+    outcome.failures.extend(drain.failures)
 
     # Cells other workers completed (or failed) while we drained.
     collect_results(store, tasks.keys(), results=outcome.results)

@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.isa.instruction import NO_REG
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import Trace, TraceBuilder
 from repro.memory.allocator import BumpAllocator, FreeListAllocator
@@ -41,6 +42,38 @@ __all__ = ["Program", "ProgramBuilder", "Workload", "CODE_BASE", "GLOBAL_BASE"]
 CODE_BASE = 0x0040_0000  #: synthetic text segment (PC labels)
 GLOBAL_BASE = 0x0800_0000  #: synthetic globals/static data
 STACK_BASE = 0x7FFF_0000  #: synthetic stack region (grows down)
+
+_LOAD = int(OpClass.LOAD)
+_STORE = int(OpClass.STORE)
+_BRANCH = int(OpClass.BRANCH)
+#: Default label of each computational op class (``op@IALU``, ...).
+_OP_LABELS = {kind: f"op@{kind.name}" for kind in OpClass}
+
+
+class _RegisterIds(dict):
+    """Register name -> dense id, assigned on first lookup.
+
+    ``None`` (no register) maps to ``NO_REG``, so the emitters resolve
+    optional operands with one dict probe.
+    """
+
+    def __init__(self) -> None:
+        super().__init__({None: NO_REG})
+
+    def __missing__(self, name: str) -> int:
+        rid = len(self) - 1  # the None entry holds no id
+        if rid > 32000:
+            raise WorkloadError("too many distinct register names")
+        self[name] = rid
+        return rid
+
+
+class _LabelPcs(dict):
+    """Static-instruction label -> synthetic PC, assigned on first lookup."""
+
+    def __missing__(self, label: str) -> int:
+        pc = self[label] = CODE_BASE + 8 * len(self)
+        return pc
 
 
 @dataclass(frozen=True)
@@ -88,9 +121,15 @@ class ProgramBuilder:
             self.alloc = FreeListAllocator(heap_base, heap_limit, alignment=alignment)
         else:
             raise WorkloadError(f"unknown allocator kind {allocator!r}")
-        self._trace = TraceBuilder(name)
-        self._regs: dict[str, int] = {}
-        self._pcs: dict[str, int] = {}
+        self._trace = tb = TraceBuilder(name)
+        #: The trace's column appenders, in :meth:`_emit` argument order.
+        self._columns = tuple(
+            col.append
+            for col in (tb._pc, tb._op, tb._dest, tb._src1, tb._src2, tb._addr,
+                        tb._value, tb._taken)
+        )
+        self._regs = _RegisterIds()
+        self._pcs = _LabelPcs()
         self._stack_next = STACK_BASE
         self._globals_next = GLOBAL_BASE
 
@@ -98,24 +137,11 @@ class ProgramBuilder:
 
     def reg(self, regname: str) -> int:
         """Intern a virtual register name to a stable id."""
-        rid = self._regs.get(regname)
-        if rid is None:
-            rid = len(self._regs)
-            if rid > 32000:
-                raise WorkloadError("too many distinct register names")
-            self._regs[regname] = rid
-        return rid
-
-    def _r(self, regname: str | None) -> int:
-        return -1 if regname is None else self.reg(regname)
+        return self._regs[regname]
 
     def pc(self, label: str) -> int:
         """Intern a static-instruction label to a synthetic PC."""
-        pc = self._pcs.get(label)
-        if pc is None:
-            pc = CODE_BASE + 8 * len(self._pcs)
-            self._pcs[label] = pc
-        return pc
+        return self._pcs[label]
 
     # ---- data segments ---------------------------------------------------------
 
@@ -145,6 +171,27 @@ class ProgramBuilder:
 
     # ---- instruction emission -----------------------------------------------------
 
+    def _emit(
+        self, pc: int, op: int, dest: int, src1: int, src2: int,
+        addr: int = 0, value: int = 0, taken: bool = False,
+    ) -> None:
+        """Append one instruction to the trace columns, unchecked.
+
+        The emitters below only produce interned register ids and
+        addresses the live image accepted; :meth:`build` validates the
+        whole trace once (:meth:`Trace.validate`), vectorized, instead of
+        per instruction as :meth:`TraceBuilder.append` does.
+        """
+        e_pc, e_op, e_dest, e_src1, e_src2, e_addr, e_value, e_taken = self._columns
+        e_pc(pc)
+        e_op(op)
+        e_dest(dest)
+        e_src1(src1)
+        e_src2(src2)
+        e_addr(addr & MASK32)
+        e_value(value)
+        e_taken(taken)
+
     def load(
         self,
         addr: int,
@@ -159,14 +206,9 @@ class ProgramBuilder:
         serializes pointer chases in the out-of-order core.
         """
         value = self.image.read_word(addr)
-        self._trace.append(
-            self.pc(label or f"ld@{into}"),
-            OpClass.LOAD,
-            dest=self.reg(into),
-            src1=self._r(base),
-            addr=addr,
-            value=value,
-        )
+        regs = self._regs
+        pc = self._pcs[label or f"ld@{into}"]
+        self._emit(pc, _LOAD, regs[into], regs[base], NO_REG, addr, value)
         return value
 
     def store(
@@ -181,14 +223,9 @@ class ProgramBuilder:
         """Emit a word store and update the live image."""
         value = to_uint32(value)
         self.image.write_word(addr, value)
-        self._trace.append(
-            self.pc(label or "st"),
-            OpClass.STORE,
-            src1=self._r(base),
-            src2=self._r(src),
-            addr=addr,
-            value=value,
-        )
+        regs = self._regs
+        pc = self._pcs[label or "st"]
+        self._emit(pc, _STORE, NO_REG, regs[base], regs[src], addr, value)
 
     def op(
         self,
@@ -201,14 +238,10 @@ class ProgramBuilder:
         """Emit a computational instruction (ALU/mult/FP...)."""
         if kind in (OpClass.LOAD, OpClass.STORE, OpClass.BRANCH):
             raise WorkloadError("op() is for computational instructions")
-        s = tuple(srcs) + (None, None)
-        self._trace.append(
-            self.pc(label or f"op@{kind.name}"),
-            kind,
-            dest=self._r(into),
-            src1=self._r(s[0]),
-            src2=self._r(s[1]),
-        )
+        regs = self._regs
+        s = (*srcs, None, None)
+        pc = self._pcs[label or _OP_LABELS[kind]]
+        self._emit(pc, int(kind), regs[into], regs[s[0]], regs[s[1]])
 
     def branch(
         self,
@@ -218,14 +251,10 @@ class ProgramBuilder:
         srcs: tuple[str | None, ...] = (),
     ) -> None:
         """Emit a conditional branch with its actual outcome."""
-        s = tuple(srcs) + (None, None)
-        self._trace.append(
-            self.pc(label),
-            OpClass.BRANCH,
-            src1=self._r(s[0]),
-            src2=self._r(s[1]),
-            taken=taken,
-        )
+        regs = self._regs
+        s = (*srcs, None, None)
+        pc = self._pcs[label]
+        self._emit(pc, _BRANCH, NO_REG, regs[s[0]], regs[s[1]], taken=taken)
 
     # ---- control-flow sugar -----------------------------------------------------------
 

@@ -133,6 +133,17 @@ class TestTraceViews:
         with pytest.raises(TraceError):
             trace.validate()
 
+    @pytest.mark.parametrize("column", ["dest", "src1", "src2"])
+    def test_validate_rejects_out_of_range_register(self, trace, column):
+        getattr(trace, column)[1] = -2
+        with pytest.raises(TraceError, match="register id out of range"):
+            trace.validate()
+        wide = getattr(trace, column).astype(np.int32)
+        wide[1] = 32768
+        setattr(trace, column, wide)
+        with pytest.raises(TraceError, match="register id out of range"):
+            trace.validate()
+
     def test_mismatched_columns_rejected(self):
         with pytest.raises(TraceError):
             Trace(

@@ -6,6 +6,7 @@ the way a real broken cell would.
 """
 
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from repro.sim.runner import clear_caches, run_matrix
 
 FAST = FaultPolicy(
     retries=1, backoff_base=0.01, backoff_max=0.02, jitter=0.0,
-    poll_interval=0.005,
 )
 SCALE = 0.1
 
@@ -74,6 +74,21 @@ class TestSupervisedHappyPath:
         )
         assert out.ok and len(out.results) == 6
 
+    def test_supervisor_waits_on_events_never_sleeps(self, monkeypatch):
+        real_sleep = time.sleep
+        sleeps = []
+
+        def recording_sleep(seconds):
+            sleeps.append((sys._getframe(1).f_globals.get("__name__"), seconds))
+            real_sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", recording_sleep)
+        out = run_supervised(
+            list(range(8)), _ok_worker, key_of=_key, policy=FAST, max_workers=2
+        )
+        assert out.ok and len(out.results) == 8
+        assert [s for s in sleeps if s[0] == fault.__name__] == []
+
 
 class TestCrashIsolation:
     def test_crash_classified_with_exitcode(self):
@@ -104,7 +119,6 @@ class TestCrashIsolation:
     def test_fail_fast_raises_typed(self):
         policy = FaultPolicy(
             retries=0, backoff_base=0.01, jitter=0.0, fail_fast=True,
-            poll_interval=0.005,
         )
         with pytest.raises(CellCrashError):
             run_supervised([1], _crash_worker, key_of=_key, policy=policy)
@@ -113,7 +127,7 @@ class TestCrashIsolation:
 class TestTimeout:
     def test_hung_worker_is_terminated(self):
         policy = FaultPolicy(
-            timeout=0.3, retries=0, jitter=0.0, poll_interval=0.005
+            timeout=0.3, retries=0, jitter=0.0
         )
         t0 = time.perf_counter()
         out = run_supervised([1], _hang_worker, key_of=_key, policy=policy)
@@ -127,7 +141,6 @@ class TestTimeout:
     def test_fail_fast_timeout_raises_typed(self):
         policy = FaultPolicy(
             timeout=0.3, retries=0, jitter=0.0, fail_fast=True,
-            poll_interval=0.005,
         )
         with pytest.raises(CellTimeoutError):
             run_supervised([1], _hang_worker, key_of=_key, policy=policy)
@@ -172,7 +185,6 @@ class TestPolicyValidation:
             {"backoff_base": -0.1},
             {"backoff_factor": 0.5},
             {"jitter": 1.5},
-            {"poll_interval": 0.0},
         ],
     )
     def test_bad_policy_rejected(self, kwargs):

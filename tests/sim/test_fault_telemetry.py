@@ -18,7 +18,6 @@ from repro.sim.fault import FaultPolicy, run_supervised
 
 FAST = FaultPolicy(
     retries=0, backoff_base=0.01, backoff_max=0.02, jitter=0.0,
-    poll_interval=0.005,
 )
 
 
@@ -148,7 +147,6 @@ class TestPartialMarkers:
         telemetry.configure(tmp_path)
         policy = FaultPolicy(
             timeout=0.3, retries=0, backoff_base=0.01, jitter=0.0,
-            poll_interval=0.005,
         )
         task = {"name": "hang", "n": 1, "delay": 0.0}
         out = run_supervised([task], _hang_worker, key_of=_key, policy=policy)
@@ -168,7 +166,6 @@ class TestPartialMarkers:
         telemetry.configure(tmp_path)
         policy = FaultPolicy(
             timeout=0.3, retries=0, backoff_base=0.01, jitter=0.0,
-            poll_interval=0.005,
         )
 
         out = run_supervised(
